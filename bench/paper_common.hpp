@@ -22,6 +22,16 @@ namespace cloudburst::bench {
 using apps::Env;
 using apps::PaperApp;
 
+/// "(m,n)" label for a local/cloud core split.
+inline std::string cores_label(unsigned local_cores, unsigned cloud_cores) {
+  std::string s = "(";
+  s += std::to_string(local_cores);
+  s += ',';
+  s += std::to_string(cloud_cores);
+  s += ')';
+  return s;
+}
+
 /// Shared command-line convention for the bench binaries. Every bench stays
 /// self-running with no arguments (the defaults reproduce the paper
 /// artifact); two flags tweak a run without editing code:
@@ -81,8 +91,7 @@ inline void print_fig3(PaperApp app, const EnvSweep& sweep, const char* figure_l
   for (std::size_t i = 0; i < sweep.results.size(); ++i) {
     const auto& config = sweep.configs[i];
     const auto& result = sweep.results[i];
-    const std::string cores =
-        "(" + std::to_string(config.local_cores) + "," + std::to_string(config.cloud_cores) + ")";
+    const std::string cores = cores_label(config.local_cores, config.cloud_cores);
     bool first_row = true;
     for (const auto& c : result.clusters) {
       if (c.nodes == 0) continue;

@@ -64,6 +64,12 @@ std::string split_label(const std::vector<double>& weights) {
   return s;
 }
 
+std::string dollars(double usd) {
+  std::string s = "$";
+  s += AsciiTable::num(usd, 2);
+  return s;
+}
+
 }  // namespace
 
 int main() {
@@ -91,7 +97,7 @@ int main() {
              std::to_string(c.jobs_local) + "+" + std::to_string(c.jobs_stolen),
              first_row ? std::to_string(run.result.s3_get_requests) : "",
              first_row ? "-" : "",  // no site cache attached in the base sweep
-             first_row ? "$" + AsciiTable::num(run.cost.total_usd(), 2) : ""});
+             first_row ? dollars(run.cost.total_usd()) : ""});
         first_row = false;
       }
       table.add_separator();
@@ -117,11 +123,11 @@ int main() {
                         AsciiTable::num(cold.result.total_time, 1),
                         std::to_string(cold.result.s3_get_requests),
                         AsciiTable::pct(cold.result.cache_hit_rate(), 0),
-                        "$" + AsciiTable::num(cold.cost.total_usd(), 2)});
+                        dollars(cold.cost.total_usd())});
     warm_table.add_row({"", "warm", AsciiTable::num(warm.result.total_time, 1),
                         std::to_string(warm.result.s3_get_requests),
                         AsciiTable::pct(warm.result.cache_hit_rate(), 0),
-                        "$" + AsciiTable::num(warm.cost.total_usd(), 2)});
+                        dollars(warm.cost.total_usd())});
     warm_table.add_separator();
   }
   std::printf("%s\n", warm_table

@@ -184,6 +184,16 @@ Platform::Platform(const PlatformSpec& spec) : spec_(spec) {
       net.set_route_symmetric(cluster_site[other], store_site[i], {wan[other][i]});
     }
   }
+  // Two fabric stores reach each other over the owners' WAN link (e.g. a
+  // cloud-to-cloud replica repair). A store without a fabric shares its
+  // cluster's site, which the loop above already routes.
+  for (ClusterId i = 0; i < n_sites; ++i) {
+    if (store_site[i] == cluster_site[i]) continue;
+    for (ClusterId j = i + 1; j < n_sites; ++j) {
+      if (store_site[j] == cluster_site[j]) continue;
+      net.set_route_symmetric(store_site[i], store_site[j], {wan[i][j]});
+    }
+  }
 
   // Compute nodes.
   nodes_.resize(n_sites);

@@ -1,16 +1,9 @@
 #include "des/simulator.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
 namespace cloudburst::des {
-
-namespace {
-/// Compact only when the dead entries amortize the rebuild: enough of them
-/// in absolute terms, and more dead than live in the queue.
-constexpr std::size_t kCompactMinDead = 64;
-}  // namespace
 
 std::string format(SimTime t) {
   char buf[48];
@@ -44,72 +37,99 @@ EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
     slab_.emplace_back();
   }
   EventRecord& rec = slab_[slot];
-  rec.time = when;
-  rec.seq = next_seq_++;
-  rec.live = true;
   rec.fn = std::move(fn);
-  queue_.push_back(QueueEntry{rec.time, rec.seq, slot, rec.generation});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
-  ++live_count_;
+  heap_.push_back(HeapEntry{when, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
   return EventHandle(self_, slot, rec.generation);
 }
 
+bool Simulator::reschedule_at(const EventHandle& handle, SimTime when) {
+  if (when < now_) {
+    throw std::invalid_argument("Simulator::reschedule_at: time in the past");
+  }
+  if (handle.owner_ != self_ || !is_pending(handle.slot_, handle.generation_)) {
+    return false;
+  }
+  const std::size_t pos = slab_[handle.slot_].heap_pos;
+  heap_[pos].time = when;
+  heap_[pos].seq = next_seq_++;
+  resift(pos);
+  return true;
+}
+
 bool Simulator::cancel(std::uint32_t slot, std::uint32_t generation) {
-  if (slot >= slab_.size()) return false;
-  EventRecord& rec = slab_[slot];
-  if (rec.generation != generation || !rec.live) return false;
-  rec.live = false;
-  rec.fn.reset();  // release captures now, not when the entry is popped
-  ++rec.generation;
-  free_slots_.push_back(slot);
-  --live_count_;
-  ++dead_in_queue_;
-  maybe_compact();
+  if (!is_pending(slot, generation)) return false;
+  heap_remove(slab_[slot].heap_pos);
+  release(slot);
   return true;
 }
 
 bool Simulator::is_pending(std::uint32_t slot, std::uint32_t generation) const {
   return slot < slab_.size() && slab_[slot].generation == generation &&
-         slab_[slot].live;
+         slab_[slot].heap_pos != kNotQueued;
 }
 
-void Simulator::maybe_compact() {
-  if (dead_in_queue_ < kCompactMinDead || dead_in_queue_ * 2 <= queue_.size()) {
-    return;
+void Simulator::sift_up(std::size_t pos) {
+  const HeapEntry e = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!earlier(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [this](const QueueEntry& e) {
-                                return slab_[e.slot].generation != e.generation;
-                              }),
-               queue_.end());
-  std::make_heap(queue_.begin(), queue_.end(), Later{});
-  dead_in_queue_ = 0;
+  place(pos, e);
+}
+
+void Simulator::sift_down(std::size_t pos) {
+  const HeapEntry e = heap_[pos];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+void Simulator::resift(std::size_t pos) {
+  if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 2])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+}
+
+void Simulator::heap_remove(std::size_t pos) {
+  slab_[heap_[pos].slot].heap_pos = kNotQueued;
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // removed the last entry
+  place(pos, last);
+  resift(pos);
+}
+
+void Simulator::release(std::uint32_t slot) {
+  EventRecord& rec = slab_[slot];
+  rec.fn.reset();  // release captures now
+  ++rec.generation;
+  free_slots_.push_back(slot);
 }
 
 bool Simulator::step() {
-  while (!queue_.empty()) {
-    const QueueEntry top = queue_.front();
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    queue_.pop_back();
-    EventRecord& rec = slab_[top.slot];
-    if (rec.generation != top.generation) {
-      // Cancelled (slot possibly reused since): lazy deletion.
-      --dead_in_queue_;
-      continue;
-    }
-    // Release the slot before running: handles report !pending() during the
-    // callback, and the callback may itself schedule into this slot.
-    EventFn fn = std::move(rec.fn);
-    rec.live = false;
-    ++rec.generation;
-    free_slots_.push_back(top.slot);
-    --live_count_;
-    now_ = top.time;
-    ++executed_;
-    if (fn) fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_.front();
+  heap_remove(0);
+  // Release the slot before running: handles report !pending() during the
+  // callback, and the callback may itself schedule into this slot.
+  EventFn fn = std::move(slab_[top.slot].fn);
+  release(top.slot);
+  now_ = top.time;
+  ++executed_;
+  if (fn) fn();
+  return true;
 }
 
 SimTime Simulator::run() {
@@ -119,19 +139,8 @@ SimTime Simulator::run() {
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
-  while (!queue_.empty()) {
-    // Skip cancelled entries without advancing the clock.
-    const QueueEntry& top = queue_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      std::pop_heap(queue_.begin(), queue_.end(), Later{});
-      queue_.pop_back();
-      --dead_in_queue_;
-      continue;
-    }
-    if (top.time > deadline) break;
-    step();
-  }
-  if (now_ < deadline && queue_.empty()) {
+  while (!heap_.empty() && heap_.front().time <= deadline) step();
+  if (now_ < deadline && heap_.empty()) {
     // Queue drained before the deadline: clock stays at the last event.
     return now_;
   }

@@ -9,14 +9,16 @@
 // Event storage & performance
 // ---------------------------
 // Event records live in a slab (a recycled vector of records addressed by
-// slot index); the priority queue holds small POD entries pointing into the
-// slab. Cancellation is lazy: the slab slot is recycled immediately (its
-// generation counter is bumped, so stale queue entries and handles no
-// longer match), but the queue entry stays behind and is skipped when
-// popped. When dead entries outnumber live ones the queue is compacted in
-// one pass. Callbacks are stored in an EventFn — a move-only callable with
-// 48 bytes of inline capture storage — so scheduling an event performs no
-// heap allocation on the hot paths. See DESIGN.md "Simulator internals &
+// slot index). The pending events form an indexed binary min-heap of small
+// POD entries keyed by (time, seq) that point into the slab, and each slab
+// record knows its position in that heap. Cancellation therefore removes the
+// entry in O(log n): the heap never holds dead entries and never needs a
+// compaction pass. reschedule_at() moves a pending event to a new time in
+// place, keeping its callback and handle. Releasing a slot bumps its
+// generation counter, so stale handles never match a recycled slot.
+// Callbacks are stored in an EventFn — a move-only callable with 48 bytes of
+// inline capture storage — so scheduling an event performs no heap
+// allocation on the hot paths. See DESIGN.md "Simulator internals &
 // performance".
 //
 // Lifetime contract
@@ -81,6 +83,15 @@ class Simulator {
   /// Schedule at an absolute time >= now().
   EventHandle schedule_at(SimTime when, EventFn fn);
 
+  /// Move the pending event behind `handle` to the absolute time `when`,
+  /// keeping its callback and handle. The event takes a fresh sequence
+  /// number, so it orders exactly as cancel() followed by schedule_at() of
+  /// the same callback would. Returns false (and changes nothing) if the
+  /// event is not pending in this Simulator: it fired, was cancelled, or the
+  /// handle is default, stale or from another Simulator. Throws
+  /// std::invalid_argument if `when` < now(), like schedule_at().
+  bool reschedule_at(const EventHandle& handle, SimTime when);
+
   /// Run until the event queue drains. Returns the final simulated time.
   SimTime run();
 
@@ -91,54 +102,62 @@ class Simulator {
   /// Execute at most one event. False if the queue was empty.
   bool step();
 
-  /// Number of scheduled events that have neither fired nor been cancelled
-  /// (live events only; lazily-deleted queue entries are not counted).
-  std::size_t pending_events() const { return live_count_; }
+  /// Number of scheduled events that have neither fired nor been cancelled.
+  std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
  private:
   friend class EventHandle;
 
+  /// Heap position of a slab record that is not pending (free slot, or an
+  /// event that is firing).
+  static constexpr std::uint32_t kNotQueued = 0xFFFFFFFFu;
+
   /// One slab cell. `generation` advances every time the slot is released
-  /// (fire or cancel), invalidating stale handles and queue entries.
+  /// (fire or cancel), invalidating stale handles.
   struct EventRecord {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
     std::uint32_t generation = 0;
-    bool live = false;
+    std::uint32_t heap_pos = kNotQueued;  ///< index into heap_ while pending
     EventFn fn;
   };
 
-  /// Priority-queue entry: the (time, seq) ordering key plus the slab slot
-  /// it refers to. `generation` detects entries whose event was cancelled
-  /// (and whose slot possibly reused) after this entry was pushed.
-  struct QueueEntry {
+  /// Heap entry: the (time, seq) ordering key plus the slab slot it refers
+  /// to. (time, seq) is a strict total order, so pop order does not depend
+  /// on the heap's shape.
+  struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t generation;
   };
-  struct Later {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
 
   bool cancel(std::uint32_t slot, std::uint32_t generation);
   bool is_pending(std::uint32_t slot, std::uint32_t generation) const;
-  /// Drop dead queue entries once they outnumber live ones.
-  void maybe_compact();
+
+  /// Store `e` at heap position `pos` and record the position in the slab.
+  void place(std::size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    slab_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  /// Restore the heap property for the entry at `pos` after its key changed.
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  void resift(std::size_t pos);
+  /// Take the entry at `pos` out of the heap (the slot stays allocated).
+  void heap_remove(std::size_t pos);
+  /// Return a slot whose event fired or was cancelled to the free list.
+  void release(std::uint32_t slot);
 
   SimTime now_ = kSimStart;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t live_count_ = 0;
-  std::size_t dead_in_queue_ = 0;
 
   std::vector<EventRecord> slab_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<QueueEntry> queue_;  ///< binary heap ordered by Later
+  std::vector<HeapEntry> heap_;  ///< binary min-heap ordered by earlier()
 
   std::shared_ptr<Simulator*> self_;  ///< handles' liveness tag
 };

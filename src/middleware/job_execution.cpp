@@ -256,8 +256,21 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
                            std::string trace_tag, SlotArbiter* arbiter,
                            std::function<void()> on_finished)
     : platform_(platform),
-      ctx_{platform,   layout,  options, postman, RunRecorder{}, {}, {}, job_id,
-           std::move(trace_tag), arbiter, std::move(on_finished)} {
+      ctx_{platform,
+           layout,
+           options,
+           postman,
+           RunRecorder{},
+           {},
+           {},
+           job_id,
+           std::move(trace_tag),
+           arbiter,
+           std::move(on_finished),
+           /*job_start_seconds=*/0.0,
+           qos::kSystemTenant,
+           /*on_node_lost=*/{},
+           /*on_node_vacated=*/{}} {
   ctx_.recorder.init(platform.cluster_count(), platform.store_count());
   setup_chunk_offsets();
   resolve_membership();

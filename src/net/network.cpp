@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -16,6 +17,8 @@ constexpr double kByteEpsilon = 1e-6;
 // Rate given to flows with an empty path and no cap (loopback transfers):
 // effectively instantaneous.
 constexpr double kInfiniteRate = 1e18;
+// Start order: the deterministic order for solving and teardown.
+constexpr auto kStartedBefore = [](const auto* a, const auto* b) { return a->seq < b->seq; };
 }  // namespace
 
 SiteId Network::add_site(std::string name) {
@@ -79,46 +82,81 @@ des::SimDuration Network::path_latency(EndpointId src, EndpointId dst) const {
   return total;
 }
 
+Network::Flow* Network::find_flow(FlowId id) {
+  return const_cast<Flow*>(std::as_const(*this).find_flow(id));
+}
+
+const Network::Flow* Network::find_flow(FlowId id) const {
+  const std::uint64_t slot = id & 0xFFFFFFFFu;
+  if (slot >= flows_.size()) return nullptr;
+  const Flow& flow = flows_[slot];
+  if (!flow.live || flow.generation != (id >> 32)) return nullptr;
+  return &flow;
+}
+
 FlowId Network::start_flow(EndpointId src, EndpointId dst, std::uint64_t bytes,
                            double rate_cap, des::EventFn on_complete) {
-  const FlowId id = next_flow_id_++;
-  Flow flow;
-  flow.id = id;
+  std::uint32_t slot;
+  if (!free_flows_.empty()) {
+    slot = free_flows_.back();
+    free_flows_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(flows_.size());
+    flows_.emplace_back();
+  }
+  Flow& flow = flows_[slot];
+  flow.live = true;
+  flow.seq = next_flow_seq_++;
   flow.src = src;
   flow.dst = dst;
   flow.links = path(src, dst);
   flow.remaining = static_cast<double>(bytes);
   flow.rate_cap = rate_cap;
+  flow.rate = 0.0;
+  flow.active = false;
+  flow.visit_epoch = 0;
   flow.on_complete = std::move(on_complete);
   flow.last_update = sim_.now();
+  ++live_flows_;
 
-  const des::SimDuration latency = path_latency(src, dst);
-  auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  (void)inserted;
-  it->second.activation = sim_.schedule(latency, [this, id] { activate_flow(id); });
+  const FlowId id = flow_id(slot);
+  flow.activation =
+      sim_.schedule(path_latency(src, dst), [this, id] { activate_flow(id); });
   return id;
 }
 
+void Network::free_flow(Flow& flow) {
+  flow.live = false;
+  ++flow.generation;
+  flow.on_complete.reset();
+  flow.completion = {};
+  flow.activation = {};
+  free_flows_.push_back(slot_of(flow));
+  --live_flows_;
+}
+
 void Network::attach_to_links(Flow& flow) {
+  const std::uint32_t slot = slot_of(flow);
   flow.link_pos.resize(flow.links.size());
   for (std::size_t i = 0; i < flow.links.size(); ++i) {
     auto& list = link_active_[flow.links[i]];
     flow.link_pos[i] = static_cast<std::uint32_t>(list.size());
-    list.push_back(ActiveRef{flow.id, static_cast<std::uint32_t>(i)});
+    list.push_back(ActiveRef{slot, static_cast<std::uint32_t>(i)});
   }
 }
 
 void Network::detach_from_links(Flow& flow) {
+  const std::uint32_t slot = slot_of(flow);
   for (std::size_t i = 0; i < flow.links.size(); ++i) {
     auto& list = link_active_[flow.links[i]];
     const std::uint32_t pos = flow.link_pos[i];
     const ActiveRef moved = list.back();
     list[pos] = moved;
     list.pop_back();
-    if (moved.flow != flow.id) {
-      flows_.find(moved.flow)->second.link_pos[moved.slot] = pos;
-    } else if (moved.slot != i) {
-      flow.link_pos[moved.slot] = pos;  // path crosses this link twice
+    if (moved.flow != slot) {
+      flows_[moved.flow].link_pos[moved.hop] = pos;
+    } else if (moved.hop != i) {
+      flow.link_pos[moved.hop] = pos;  // path crosses this link twice
     }
   }
 }
@@ -140,15 +178,14 @@ void Network::collect_component(const std::vector<LinkId>& seed_links) {
     const LinkId l = bfs_stack_.back();
     bfs_stack_.pop_back();
     for (const ActiveRef& ref : link_active_[l]) {
-      Flow& flow = flows_.find(ref.flow)->second;
+      Flow& flow = flows_[ref.flow];
       if (flow.visit_epoch == epoch_) continue;
       flow.visit_epoch = epoch_;
       comp_flows_.push_back(&flow);
       for (LinkId l2 : flow.links) push_link(l2);
     }
   }
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  std::sort(comp_flows_.begin(), comp_flows_.end(), kStartedBefore);
   std::sort(comp_links_.begin(), comp_links_.end());
 }
 
@@ -174,9 +211,10 @@ void Network::recompute_and_rearm(std::vector<Flow*>& comp) {
     // function of each connected component, so this must reproduce the
     // scoped result bit-for-bit (see header).
     comp.clear();
-    for (auto& [id, flow] : flows_) {
-      if (flow.active) comp.push_back(&flow);
+    for (Flow& flow : flows_) {
+      if (flow.live && flow.active) comp.push_back(&flow);
     }
+    std::sort(comp.begin(), comp.end(), kStartedBefore);
   }
   if (comp.empty()) return;
 
@@ -201,7 +239,7 @@ void Network::recompute_and_rearm(std::vector<Flow*>& comp) {
     }
   }
 
-  unfrozen_ = comp;  // sorted by id => deterministic freeze order
+  unfrozen_ = comp;  // sorted by start order => deterministic freeze order
   while (!unfrozen_.empty()) {
     double r = std::numeric_limits<double>::infinity();
     for (LinkId l : water_links_) {
@@ -265,24 +303,30 @@ void Network::recompute_and_rearm(std::vector<Flow*>& comp) {
     const double new_rate = flow->next_rate;
     if (new_rate == flow->rate) continue;
     flow->rate = new_rate;
-    flow->completion.cancel();
-    const FlowId fid = flow->id;
     if (flow->remaining <= kByteEpsilon) {
-      flow->completion = sim_.schedule(0, [this, fid] { finish_flow(fid); });
+      arm_completion(*flow, 0);
     } else if (new_rate > 0.0) {
       const double secs = flow->remaining / new_rate;
-      flow->completion =
-          sim_.schedule(std::max<des::SimDuration>(des::from_seconds(secs), 1),
-                        [this, fid] { finish_flow(fid); });
+      arm_completion(*flow, std::max<des::SimDuration>(des::from_seconds(secs), 1));
+    } else {
+      // Fully starved: no completion until a rebalance frees capacity.
+      flow->completion.cancel();
     }
-    // rate == 0 (fully starved): no completion until a rebalance frees capacity.
   }
 }
 
+void Network::arm_completion(Flow& flow, des::SimDuration delay) {
+  // Moving the pending event takes the same sequence number that cancelling
+  // it and scheduling a fresh one would, so event order is unchanged.
+  if (sim_.reschedule_at(flow.completion, sim_.now() + delay)) return;
+  const FlowId id = flow_id(slot_of(flow));
+  flow.completion = sim_.schedule(delay, [this, id] { finish_flow(id); });
+}
+
 void Network::activate_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // cancelled during latency phase
-  Flow& flow = it->second;
+  Flow* const found = find_flow(id);
+  if (found == nullptr) return;  // cancelled during latency phase
+  Flow& flow = *found;
   flow.active = true;
   flow.last_update = sim_.now();
   attach_to_links(flow);
@@ -297,15 +341,15 @@ void Network::activate_flow(FlowId id) {
 }
 
 double Network::cancel_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return 0.0;
-  Flow& flow = it->second;
+  Flow* const found = find_flow(id);
+  if (found == nullptr) return 0.0;
+  Flow& flow = *found;
   flow.activation.cancel();
   flow.completion.cancel();
   if (!flow.active) {
     // Latency phase: the flow never held bandwidth, nothing to rebalance.
     const double unmoved = flow.remaining;
-    flows_.erase(it);
+    free_flow(flow);
     return unmoved;
   }
   collect_component(flow.links);
@@ -314,20 +358,24 @@ double Network::cancel_flow(FlowId id) {
   const double unmoved = flow.remaining;
   detach_from_links(flow);
   comp_flows_.erase(std::find(comp_flows_.begin(), comp_flows_.end(), &flow));
-  flows_.erase(it);
+  free_flow(flow);
   recompute_and_rearm(comp_flows_);
   return unmoved;
 }
 
 std::size_t Network::cancel_flows_with_endpoint(EndpointId ep) {
-  // Collect first: cancel_flow mutates flows_, and each cancellation settles
+  // Collect first: cancel_flow frees slots, and each cancellation settles
   // and rebalances its own component, so the per-link active lists stay
-  // consistent throughout. flows_ is id-ordered => deterministic teardown.
-  std::vector<FlowId> doomed;
-  for (const auto& [id, flow] : flows_) {
-    if (flow.src == ep || flow.dst == ep) doomed.push_back(id);
+  // consistent throughout. Start order => deterministic teardown.
+  std::vector<std::pair<std::uint64_t, FlowId>> doomed;  // (seq, id)
+  for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
+    const Flow& flow = flows_[slot];
+    if (flow.live && (flow.src == ep || flow.dst == ep)) {
+      doomed.emplace_back(flow.seq, flow_id(slot));
+    }
   }
-  for (FlowId id : doomed) cancel_flow(id);
+  std::sort(doomed.begin(), doomed.end());
+  for (const auto& [seq, id] : doomed) cancel_flow(id);
   return doomed.size();
 }
 
@@ -348,19 +396,19 @@ void Network::set_link_capacity_factor(LinkId id, double factor) {
 }
 
 double Network::flow_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  const Flow* flow = find_flow(id);
+  return flow == nullptr ? 0.0 : flow->rate;
 }
 
 double Network::flow_remaining(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.remaining;
+  const Flow* flow = find_flow(id);
+  return flow == nullptr ? 0.0 : flow->remaining;
 }
 
 void Network::finish_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  Flow& flow = it->second;
+  Flow* const found = find_flow(id);
+  if (found == nullptr) return;
+  Flow& flow = *found;
   collect_component(flow.links);
   if (flow.links.empty()) comp_flows_.push_back(&flow);
   settle_flows(comp_flows_);
@@ -368,10 +416,7 @@ void Network::finish_flow(FlowId id) {
     // Rates changed since this event was armed; re-estimate.
     if (flow.rate > 0.0) {
       const double secs = flow.remaining / flow.rate;
-      const FlowId fid = id;
-      flow.completion =
-          sim_.schedule(std::max<des::SimDuration>(des::from_seconds(secs), 1),
-                        [this, fid] { finish_flow(fid); });
+      arm_completion(flow, std::max<des::SimDuration>(des::from_seconds(secs), 1));
     }
     return;
   }
@@ -379,7 +424,7 @@ void Network::finish_flow(FlowId id) {
   flow.completion.cancel();
   detach_from_links(flow);
   comp_flows_.erase(std::find(comp_flows_.begin(), comp_flows_.end(), &flow));
-  flows_.erase(it);
+  free_flow(flow);
   recompute_and_rearm(comp_flows_);
   if (callback) callback();
 }

@@ -38,13 +38,20 @@
 // test in tests/test_network_perf.cpp drives both modes through the same
 // operation sequence and asserts exactly that.
 //
-// Everything is deterministic: component flows are processed in id order,
-// and completion events inherit the DES kernel's (time, sequence) total
-// ordering.
+// Flow storage
+// ------------
+// Flows live in a slab (a vector of records plus a free list). A FlowId packs
+// the slot and the slot's generation, (generation << 32) | slot, so lookups
+// index directly and a stale id — its flow finished or was cancelled, and the
+// slot may since hold another flow — resolves to "unknown". Re-arming a
+// completion moves the pending event in place (Simulator::reschedule_at).
+//
+// Everything is deterministic: component flows are processed in start order
+// (each flow carries a monotonic start sequence number), and completion
+// events inherit the DES kernel's (time, sequence) total ordering.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,14 +90,16 @@ class Network {
                     double rate_cap, des::EventFn on_complete);
 
   /// Abort an in-progress flow; its completion callback never fires.
-  /// Harmless if the flow already finished. Returns the flow's un-moved
-  /// bytes, settled as of the cancellation instant (0 if unknown/finished).
+  /// Harmless if the flow already finished, even if its slot now holds a
+  /// newer flow. Returns the flow's un-moved bytes, settled as of the
+  /// cancellation instant (0 if unknown/finished).
   double cancel_flow(FlowId id);
 
   /// Abort every flow whose source or destination is `ep` (completion
   /// callbacks never fire). Used when an endpoint dies mid-transfer — the
   /// flows must settle and leave the per-link active lists, not stall
-  /// forever holding bandwidth. Returns the number of flows cancelled.
+  /// forever holding bandwidth. Flows are cancelled in start order. Returns
+  /// the number of flows cancelled.
   std::size_t cancel_flows_with_endpoint(EndpointId ep);
 
   // --- fault injection -----------------------------------------------------
@@ -111,7 +120,7 @@ class Network {
   /// 0 if the flow is unknown/finished.
   double flow_remaining(FlowId id) const;
 
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return live_flows_; }
 
   std::vector<LinkId> path(EndpointId src, EndpointId dst) const;
   des::SimDuration path_latency(EndpointId src, EndpointId dst) const;
@@ -134,12 +143,14 @@ class Network {
   };
 
   struct Flow {
-    FlowId id;
+    std::uint32_t generation = 0;  ///< bumped when the slot is freed
+    bool live = false;             ///< slot holds a started, unfinished flow
+    std::uint64_t seq = 0;         ///< start order (deterministic ordering)
     EndpointId src = 0;
     EndpointId dst = 0;
     std::vector<LinkId> links;
-    double remaining;  ///< bytes still to drain once active
-    double rate_cap;   ///< 0 = uncapped
+    double remaining = 0.0;  ///< bytes still to drain once active
+    double rate_cap = 0.0;   ///< 0 = uncapped
     double rate = 0.0;
     double next_rate = 0.0;  ///< scratch for the water-filling pass
     bool active = false;     ///< false during the latency phase
@@ -153,11 +164,11 @@ class Network {
     std::uint64_t visit_epoch = 0;  ///< component-BFS visited stamp
   };
 
-  /// One active-flow registration on a link: the flow plus which of the
-  /// flow's path slots this entry belongs to (paths may repeat a link).
+  /// One active-flow registration on a link: the flow's slab slot plus which
+  /// of the flow's path hops this entry belongs to (paths may repeat a link).
   struct ActiveRef {
-    FlowId flow;
-    std::uint32_t slot;
+    std::uint32_t flow;
+    std::uint32_t hop;
   };
 
   /// Per-link scratch for the freeze-event water-filling pass, reset lazily
@@ -174,17 +185,33 @@ class Network {
   void detach_from_links(Flow& flow);
 
   /// Gather the connected component (active flows <-> links) reachable from
-  /// `seed_links` into comp_flows_/comp_links_, sorted by id.
+  /// `seed_links` into comp_flows_/comp_links_, sorted by start order.
   void collect_component(const std::vector<LinkId>& seed_links);
 
   /// Charge elapsed drain time to the given flows; updates link stats.
   /// Must run before any of their rates change.
   void settle_flows(const std::vector<Flow*>& flows);
 
-  /// Max-min fair rates for `comp` (sorted by id; in kGlobalReference mode
-  /// the argument is replaced by all active flows) and re-arm completion
-  /// events for flows whose rate changed.
+  /// Max-min fair rates for `comp` (sorted by start order; in
+  /// kGlobalReference mode the argument is replaced by all active flows) and
+  /// re-arm completion events for flows whose rate changed.
   void recompute_and_rearm(std::vector<Flow*>& comp);
+
+  /// Arm the flow's completion `delay` from now, moving its pending event
+  /// in place when it has one.
+  void arm_completion(Flow& flow, des::SimDuration delay);
+
+  /// The live flow `id` names, or nullptr if it is unknown or stale.
+  Flow* find_flow(FlowId id);
+  const Flow* find_flow(FlowId id) const;
+  FlowId flow_id(std::uint32_t slot) const {
+    return (static_cast<FlowId>(flows_[slot].generation) << 32) | slot;
+  }
+  std::uint32_t slot_of(const Flow& flow) const {
+    return static_cast<std::uint32_t>(&flow - flows_.data());
+  }
+  /// Return a finished or cancelled flow's slot to the free list.
+  void free_flow(Flow& flow);
 
   void activate_flow(FlowId id);
   void finish_flow(FlowId id);
@@ -194,8 +221,10 @@ class Network {
   std::vector<Link> links_;
   std::vector<Endpoint> endpoints_;
   std::map<std::pair<SiteId, SiteId>, std::vector<LinkId>> routes_;
-  std::map<FlowId, Flow> flows_;  // id order => deterministic iteration
-  FlowId next_flow_id_ = 0;
+  std::vector<Flow> flows_;  ///< slab, addressed by FlowId's low 32 bits
+  std::vector<std::uint32_t> free_flows_;
+  std::size_t live_flows_ = 0;
+  std::uint64_t next_flow_seq_ = 0;
 
   RebalanceMode rebalance_mode_ = RebalanceMode::kScoped;
 

@@ -110,8 +110,9 @@ TEST_P(FlowConservationSweep, AllBytesArriveExactlyOnce) {
   const LinkId trunk = net.add_link("trunk", 5e6, from_seconds(0.001));
   std::vector<EndpointId> senders, receivers;
   for (int i = 0; i < 4; ++i) {
-    senders.push_back(net.add_endpoint("s" + std::to_string(i), left));
-    receivers.push_back(net.add_endpoint("r" + std::to_string(i), right));
+    const std::string n = std::to_string(i);
+    senders.push_back(net.add_endpoint('s' + n, left));
+    receivers.push_back(net.add_endpoint('r' + n, right));
   }
   net.set_route_symmetric(left, right, {trunk});
 

@@ -1,7 +1,8 @@
 // Tests for the scoped flow rebalance (see network.hpp "Scoped
 // rebalancing"): a randomized differential test driving the scoped and
 // global-reference modes through the same operation sequence, plus pins for
-// the unified completion re-arm floor and component isolation.
+// the unified completion re-arm floor, component isolation, stale flow ids
+// after slot reuse, and start-order teardown.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,8 +88,10 @@ struct Harness {
     const LinkId wan_bc = net.add_link("wan-bc", 60e6, des::from_seconds(0.015));
     auto attach = [&](SiteId site, const char* prefix, int n, double bw) {
       for (int i = 0; i < n; ++i) {
-        const EndpointId ep = net.add_endpoint(prefix + std::to_string(i), site);
-        const LinkId access = net.add_link(prefix + std::to_string(i) + "-nic",
+        std::string name = prefix;
+        name += std::to_string(i);
+        const EndpointId ep = net.add_endpoint(name, site);
+        const LinkId access = net.add_link(name + "-nic",
                                            bw * (1.0 + 0.25 * i),
                                            des::from_seconds(0.0005));
         net.set_access_path(ep, {access});
@@ -229,6 +232,116 @@ TEST(ScopedRebalance, DisjointComponentChurnDoesNotPerturbCompletion) {
     return done;
   };
   EXPECT_EQ(run_measured(false), run_measured(true));
+}
+
+// --- flow slab: stale ids and start order -----------------------------------
+
+constexpr FlowId kSlotMask = 0xFFFFFFFFu;
+
+// A finished flow's id stays unknown after its slot is reused: every call
+// through it is a no-op or zero, and the flow now living in that slot keeps
+// its rate, its remaining bytes and its completion time.
+TEST(FlowSlab, StaleIdAfterSlotReuseIsUnknown) {
+  auto run = [](bool poke_stale) {
+    des::Simulator sim;
+    Network net(sim);
+    const SiteId s = net.add_site("s");
+    const LinkId link = net.add_link("link", 1e6, des::from_seconds(0.001));
+    const EndpointId x = net.add_endpoint("x", s);
+    const EndpointId y = net.add_endpoint("y", s);
+    net.set_access_path(x, {link});
+
+    const FlowId first = net.start_flow(x, y, 100'000, 0.0, nullptr);
+    sim.run();  // first finishes; its slot returns to the free list
+    des::SimTime done = -1;
+    const FlowId second = net.start_flow(x, y, 1'000'000, 0.0, [&] { done = sim.now(); });
+    EXPECT_EQ(second & kSlotMask, first & kSlotMask);  // the slot was reused
+    EXPECT_NE(second, first);
+    sim.run_until(sim.now() + des::from_seconds(0.25));
+    const double rate = net.flow_rate(second);
+    const double remaining = net.flow_remaining(second);
+    EXPECT_EQ(rate, 1e6);
+    if (poke_stale) {
+      EXPECT_EQ(net.flow_rate(first), 0.0);
+      EXPECT_EQ(net.flow_remaining(first), 0.0);
+      EXPECT_EQ(net.cancel_flow(first), 0.0);
+      EXPECT_EQ(net.cancel_flow(first), 0.0);
+      EXPECT_EQ(net.flow_rate(second), rate);
+      EXPECT_EQ(net.flow_remaining(second), remaining);
+      EXPECT_EQ(net.active_flows(), 1u);
+    }
+    sim.run();
+    EXPECT_GT(done, 0);
+    return done;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(FlowSlab, CancelledIdStaysUnknownAfterSlotReuse) {
+  des::Simulator sim;
+  Network net(sim);
+  const SiteId s = net.add_site("s");
+  const LinkId link = net.add_link("link", 1e6, des::from_seconds(0.001));
+  const EndpointId x = net.add_endpoint("x", s);
+  const EndpointId y = net.add_endpoint("y", s);
+  net.set_access_path(x, {link});
+  const FlowId victim = net.start_flow(x, y, 500'000, 0.0, nullptr);
+  EXPECT_EQ(net.cancel_flow(victim), 500'000.0);  // latency phase: nothing moved
+  bool done = false;
+  const FlowId next = net.start_flow(x, y, 500'000, 0.0, [&] { done = true; });
+  EXPECT_EQ(next & kSlotMask, victim & kSlotMask);
+  EXPECT_EQ(net.cancel_flow(victim), 0.0);
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sim.now(), des::from_seconds(0.501));
+}
+
+// cancel_flows_with_endpoint tears flows down in start order, whatever slots
+// they occupy. Two victims each share a link with a survivor; cancelling a
+// victim re-arms its survivor, and the survivors end on the same tick, so
+// the re-arm order (and therefore the teardown order) decides which
+// completion fires first.
+TEST(FlowSlab, EndpointTeardownFollowsStartOrder) {
+  des::Simulator sim;
+  Network net(sim);
+  const SiteId s = net.add_site("s");
+  const LinkId l1 = net.add_link("l1", 1e6, des::from_seconds(0.001));
+  const LinkId l2 = net.add_link("l2", 1e6, des::from_seconds(0.001));
+  const EndpointId a1 = net.add_endpoint("a1", s);
+  const EndpointId a2 = net.add_endpoint("a2", s);
+  const EndpointId doomed = net.add_endpoint("doomed", s);
+  const EndpointId sink = net.add_endpoint("sink", s);
+  net.set_access_path(a1, {l1});
+  net.set_access_path(a2, {l2});
+
+  // Free slots 0 and 1 so that the first victim lands in the higher slot.
+  const FlowId d0 = net.start_flow(a1, sink, 1, 0.0, nullptr);
+  const FlowId d1 = net.start_flow(a1, sink, 1, 0.0, nullptr);
+  net.cancel_flow(d0);
+  net.cancel_flow(d1);
+  const FlowId v1 = net.start_flow(a1, doomed, 1'000'000, 0.0, nullptr);
+  const FlowId v2 = net.start_flow(a2, doomed, 1'000'000, 0.0, nullptr);
+  ASSERT_GT(v1 & kSlotMask, v2 & kSlotMask);  // start order != slot order
+
+  std::vector<int> order;
+  std::vector<des::SimTime> at;
+  net.start_flow(a1, sink, 1'000'000, 0.0, [&] {
+    order.push_back(1);
+    at.push_back(sim.now());
+  });
+  net.start_flow(a2, sink, 1'000'000, 0.0, [&] {
+    order.push_back(2);
+    at.push_back(sim.now());
+  });
+  sim.schedule(des::from_seconds(0.5), [&] {
+    EXPECT_EQ(net.cancel_flows_with_endpoint(doomed), 2u);
+    EXPECT_EQ(net.flow_rate(v1), 0.0);
+    EXPECT_EQ(net.flow_rate(v2), 0.0);
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(at[0], at[1]);  // a genuine tie, broken by re-arm order
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace

@@ -541,6 +541,53 @@ TEST(ReplicaRepair, ActorRunsTransfersUnderConcurrencyCap) {
   }
 }
 
+// Regression: two cloud sites whose stores both sit behind a provider fabric.
+// Every repair copies between the two fabric stores, which used to fail with
+// "no route from site east-store to west-store".
+TEST(ReplicaRepair, CompletesBetweenTwoFabricStores) {
+  PlatformSpec spec;
+  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "east"));
+  spec.sites.push_back(PlatformSpec::paper_cloud_site(8, "west"));
+  spec.wan_bandwidth = MBps(125);
+  spec.wan_latency = des::from_seconds(ms(25));
+  ASSERT_GT(spec.store(0).fabric_bandwidth, 0.0);
+  ASSERT_GT(spec.store(1).fabric_bandwidth, 0.0);
+  spec.store(0).fault.fail_probability = 0.2;
+  spec.store(1).fault.fail_probability = 0.2;
+  Platform p(spec);
+
+  // Store to store crosses exactly the owners' WAN link, in both directions.
+  const net::EndpointId east = p.store(p.store_of_cluster(0)).endpoint();
+  const net::EndpointId west = p.store(p.store_of_cluster(1)).endpoint();
+  for (const auto& path : {p.network().path(east, west), p.network().path(west, east)}) {
+    EXPECT_EQ(std::count(path.begin(), path.end(), p.wan_link(0, 1)), 1);
+  }
+
+  storage::LayoutSpec lspec;
+  lspec.total_bytes = MiB(128);
+  lspec.num_files = 4;
+  lspec.chunks_per_file = 8;
+  lspec.unit_bytes = 64;
+  storage::DataLayout layout = storage::build_layout(lspec);
+  storage::assign_stores_by_weights(layout, {1.0, 1.0},
+                                    {p.store_of_cluster(0), p.store_of_cluster(1)});
+
+  ReplicationConfig cfg;
+  cfg.replication_factor = 2;
+  cfg.placement = PlacementPolicy::CrossSite;
+  cfg.repair_interval_seconds = 0.5;
+  cfg.suspect_seconds = 5.0;
+  ReplicaSet rs{cfg};
+  middleware::RunOptions options = apps::paper_run_options(apps::PaperApp::Knn);
+  options.replication = &rs;
+  const middleware::RunResult result = middleware::run_distributed(p, layout, options);
+
+  EXPECT_EQ(result.total_jobs(), layout.chunks().size());
+  EXPECT_GT(result.replica.replicas_lost, 0u);
+  EXPECT_GT(result.replica.replicas_repaired, 0u);
+  EXPECT_GT(result.replica.repair_bytes, 0u);
+}
+
 // --- middleware integration --------------------------------------------------
 
 TEST(ReplicaIntegration, CheapestReplicaSelectionRequiresReplicationAttached) {

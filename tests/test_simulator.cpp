@@ -1,8 +1,11 @@
 // Tests for the discrete-event simulation kernel: deterministic ordering,
-// cancellation, bounded runs.
+// cancellation, in-place rescheduling, bounded runs, and a randomized
+// differential test against a naive (time, seq)-ordered reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -227,13 +230,306 @@ TEST(Simulator, CompactionKeepsOrderUnderMassCancellation) {
         sim.schedule((i + 1) * kMillisecond, [&order, i] { order.push_back(i); }));
   }
   for (int i = 0; i < 10000; ++i) {
-    if (i % 10 != 3) handles[i].cancel();  // 90% dead => queue compaction
+    if (i % 10 != 3) handles[i].cancel();  // 90% cancelled: mass heap removal
   }
   EXPECT_EQ(sim.pending_events(), 1000u);
   sim.run();
   ASSERT_EQ(order.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
   EXPECT_EQ(sim.executed_events(), 1000u);
+}
+
+// --- reschedule_at ----------------------------------------------------------
+
+TEST(Reschedule, MovesPendingEventKeepingCallbackAndHandle) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle h = sim.schedule(kSecond, [&] { order.push_back(1); });
+  sim.schedule(2 * kSecond, [&] { order.push_back(2); });
+  EXPECT_TRUE(sim.reschedule_at(h, 3 * kSecond));
+  EXPECT_TRUE(h.pending());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(sim.now(), 3 * kSecond);
+  EXPECT_FALSE(h.pending());
+}
+
+TEST(Reschedule, TakesAFreshSequenceNumberLikeCancelPlusSchedule) {
+  // Rescheduling onto a time that already has events orders the moved event
+  // after them, exactly as cancel() + schedule_at() of the callback would.
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle first = sim.schedule(kSecond, [&] { order.push_back(0); });
+  sim.schedule(kSecond, [&] { order.push_back(1); });
+  sim.schedule(kSecond, [&] { order.push_back(2); });
+  EXPECT_TRUE(sim.reschedule_at(first, kSecond));
+  sim.schedule(kSecond, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
+}
+
+TEST(Reschedule, EarlierAndLaterMovesKeepHeapOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 64; ++i) {
+    handles.push_back(sim.schedule((i + 1) * kMillisecond, [&order, i] { order.push_back(i); }));
+  }
+  // Reverse the order: event i moves to (64 - i) ms.
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_TRUE(sim.reschedule_at(handles[i], (64 - i) * kMillisecond));
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 64u);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], 63 - i);
+}
+
+TEST(Reschedule, CanBeCancelledAfterwards) {
+  Simulator sim;
+  bool ran = false;
+  EventHandle h = sim.schedule(kSecond, [&] { ran = true; });
+  ASSERT_TRUE(sim.reschedule_at(h, 2 * kSecond));
+  h.cancel();
+  EXPECT_FALSE(h.pending());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(Reschedule, AfterFireIsRejected) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle h = sim.schedule(kSecond, [&] { ++fired; });
+  sim.run();
+  EXPECT_FALSE(sim.reschedule_at(h, 2 * kSecond));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Reschedule, InsideOwnCallbackIsRejected) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle h;
+  h = sim.schedule(kSecond, [&] {
+    ++fired;
+    EXPECT_FALSE(sim.reschedule_at(h, 2 * kSecond));
+  });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), kSecond);
+}
+
+TEST(Reschedule, AfterCancelIsRejected) {
+  Simulator sim;
+  bool ran = false;
+  EventHandle h = sim.schedule(kSecond, [&] { ran = true; });
+  h.cancel();
+  EXPECT_FALSE(sim.reschedule_at(h, 2 * kSecond));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_FALSE(ran);
+}
+
+TEST(Reschedule, StaleHandleCannotMoveRecycledSlot) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle a = sim.schedule(kSecond, [&] { fired = 1; });
+  a.cancel();
+  // b reuses a's slab slot; a's stale generation must not reach it.
+  EventHandle b = sim.schedule(kSecond, [&] { fired = 2; });
+  EXPECT_FALSE(sim.reschedule_at(a, 5 * kSecond));
+  EXPECT_TRUE(b.pending());
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now(), kSecond);  // b was not moved
+}
+
+TEST(Reschedule, DefaultHandleIsRejected) {
+  Simulator sim;
+  EXPECT_FALSE(sim.reschedule_at(EventHandle{}, kSecond));
+}
+
+TEST(Reschedule, HandleFromAnotherSimulatorIsRejected) {
+  Simulator mine;
+  Simulator other;
+  bool mine_ran = false;
+  bool other_ran = false;
+  // Same slot and generation in both slabs: only ownership tells them apart.
+  mine.schedule(kSecond, [&] { mine_ran = true; });
+  EventHandle foreign = other.schedule(kSecond, [&] { other_ran = true; });
+  EXPECT_FALSE(mine.reschedule_at(foreign, 5 * kSecond));
+  EXPECT_TRUE(foreign.pending());
+  mine.run();
+  other.run();
+  EXPECT_TRUE(mine_ran);
+  EXPECT_TRUE(other_ran);
+  EXPECT_EQ(mine.now(), kSecond);
+  EXPECT_EQ(other.now(), kSecond);
+}
+
+TEST(Reschedule, HandleFromDestroyedSimulatorIsRejected) {
+  EventHandle h;
+  {
+    Simulator gone;
+    h = gone.schedule(kSecond, [] {});
+  }
+  Simulator sim;
+  bool ran = false;
+  sim.schedule(kSecond, [&] { ran = true; });
+  EXPECT_FALSE(sim.reschedule_at(h, 5 * kSecond));
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), kSecond);
+}
+
+TEST(Reschedule, PastTimeThrowsAndLeavesEventInPlace) {
+  Simulator sim;
+  sim.schedule(2 * kSecond, [] {});
+  sim.run();
+  SimTime fired_at = -1;
+  EventHandle h = sim.schedule(kSecond, [&] { fired_at = sim.now(); });
+  EXPECT_THROW(sim.reschedule_at(h, kSecond), std::invalid_argument);
+  EXPECT_TRUE(h.pending());
+  sim.run();
+  EXPECT_EQ(fired_at, 3 * kSecond);
+}
+
+// --- differential test against a naive reference ----------------------------
+
+// xorshift64* — self-contained so the op sequence never shifts under
+// standard-library changes.
+struct Rng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state ^= state >> 12;
+    state ^= state << 25;
+    state ^= state >> 27;
+    return state * 0x2545F4914F6CDD1Dull;
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+};
+
+// Linear-scan event list ordered by (time, seq): the specification the
+// indexed heap must reproduce exactly.
+struct NaiveQueue {
+  struct Event {
+    SimTime time;
+    std::uint64_t seq;
+    bool pending;
+  };
+  std::vector<Event> events;  // indexed by event id
+  std::uint64_t next_seq = 0;
+
+  void schedule(SimTime when) { events.push_back(Event{when, next_seq++, true}); }
+  bool cancel(std::size_t id) {
+    if (!events[id].pending) return false;
+    events[id].pending = false;
+    return true;
+  }
+  bool reschedule(std::size_t id, SimTime when) {
+    if (!events[id].pending) return false;
+    events[id].time = when;
+    events[id].seq = next_seq++;
+    return true;
+  }
+  /// Id of the earliest pending event, or -1.
+  long earliest() const {
+    long best = -1;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const Event& e = events[i];
+      if (!e.pending) continue;
+      if (best < 0 || e.time < events[best].time ||
+          (e.time == events[best].time && e.seq < events[best].seq)) {
+        best = static_cast<long>(i);
+      }
+    }
+    return best;
+  }
+  std::size_t pending() const {
+    return static_cast<std::size_t>(
+        std::count_if(events.begin(), events.end(), [](const Event& e) { return e.pending; }));
+  }
+};
+
+// Drives schedule/cancel/reschedule_at — from the top level and from inside
+// callbacks — against both kernels. Times come from a handful of millisecond
+// offsets, so most events tie on time and order by sequence alone.
+void run_differential(std::uint64_t seed) {
+  Simulator sim;
+  NaiveQueue ref;
+  Rng rng{seed};
+  std::vector<EventHandle> handles;  // indexed by event id, like ref.events
+  std::vector<std::size_t> fired;
+  std::size_t cancels = 0, moves = 0, rejected = 0;
+  constexpr std::size_t kMaxEvents = 4000;
+
+  std::function<void(std::size_t)> on_fire;
+  auto random_time = [&] { return sim.now() + static_cast<SimTime>(rng.below(4)) * kMillisecond; };
+  auto random_ops = [&](std::uint64_t n) {
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const std::uint64_t r = rng.below(10);
+      if (r < 4 || handles.empty()) {
+        if (handles.size() >= kMaxEvents) continue;
+        const std::size_t id = handles.size();
+        const SimTime when = random_time();
+        handles.push_back(sim.schedule_at(when, [&on_fire, id] { on_fire(id); }));
+        ref.schedule(when);
+      } else if (r < 7) {
+        const std::size_t id = rng.below(handles.size());
+        ASSERT_EQ(handles[id].pending(), ref.events[id].pending) << "event " << id;
+        handles[id].cancel();
+        cancels += ref.cancel(id);
+      } else {
+        const std::size_t id = rng.below(handles.size());
+        const SimTime when = random_time();
+        const bool moved = sim.reschedule_at(handles[id], when);
+        ASSERT_EQ(moved, ref.reschedule(id, when)) << "event " << id;
+        moves += moved;
+        rejected += !moved;
+      }
+    }
+    ASSERT_EQ(sim.pending_events(), ref.pending());
+  };
+  on_fire = [&](std::size_t id) {
+    const long expected = ref.earliest();
+    ASSERT_EQ(static_cast<long>(id), expected) << "fire #" << fired.size();
+    EXPECT_EQ(sim.now(), ref.events[id].time);
+    ref.events[id].pending = false;
+    fired.push_back(id);
+    random_ops(1 + rng.below(5));
+  };
+
+  random_ops(300);
+  // Mix the three ways of advancing the clock.
+  while (sim.pending_events() > 0) {
+    const std::uint64_t how = rng.below(3);
+    if (how == 0) {
+      ASSERT_TRUE(sim.step());
+    } else if (how == 1) {
+      sim.run_until(sim.now() + static_cast<SimTime>(rng.below(3)) * kMillisecond);
+    } else {
+      random_ops(rng.below(3));
+      ASSERT_TRUE(sim.step());
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(ref.earliest(), -1);
+  EXPECT_EQ(sim.executed_events(), fired.size());
+  // The run must have exercised every path, or the comparison is vacuous.
+  EXPECT_GT(fired.size(), 1000u);
+  EXPECT_GT(cancels, 200u);
+  EXPECT_GT(moves, 200u);
+  EXPECT_GT(rejected, 50u);
+}
+
+TEST(SimulatorDifferential, MatchesNaiveReferenceUnderRandomOps) {
+  for (std::uint64_t seed : {0x5eedull, 0xdecafull, 0x2026'10'17ull}) {
+    SCOPED_TRACE(seed);
+    run_differential(seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
