@@ -81,6 +81,7 @@ class BufferReader {
     const std::uint64_t n = read_u64();
     check(n * sizeof(T));
     std::vector<T> v(n);
+    if (n == 0) return v;  // memcpy with a null pointer is UB even for 0 bytes
     std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;

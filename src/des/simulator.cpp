@@ -36,11 +36,9 @@ EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
   }
-  EventRecord& rec = slab_[slot];
-  rec.fn = std::move(fn);
-  heap_.push_back(HeapEntry{when, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
-  return EventHandle(self_, slot, rec.generation);
+  slab_[slot].fn = std::move(fn);
+  enqueue(slot, when);
+  return EventHandle(self_, slot, slab_[slot].generation);
 }
 
 bool Simulator::reschedule_at(const EventHandle& handle, SimTime when) {
@@ -50,16 +48,29 @@ bool Simulator::reschedule_at(const EventHandle& handle, SimTime when) {
   if (handle.owner_ != self_ || !is_pending(handle.slot_, handle.generation_)) {
     return false;
   }
-  const std::size_t pos = slab_[handle.slot_].heap_pos;
-  heap_[pos].time = when;
-  heap_[pos].seq = next_seq_++;
-  resift(pos);
+  const std::uint32_t slot = handle.slot_;
+  EventRecord& rec = slab_[slot];
+  if (when == now_ || rec.heap_pos == kInLane) {
+    dequeue(slot);
+    enqueue(slot, when);
+    return true;
+  }
+  // A heap event moving to a later instant. A fresh key sorts after any key
+  // of equal time, so it undercuts the entry's key only at a strictly
+  // earlier time; otherwise the entry stays a lower bound that settle_top()
+  // re-keys once it reaches the top.
+  rec.key = Key{when, next_seq_++};
+  HeapEntry& entry = heap_[rec.heap_pos];
+  if (when < entry.key.time) {
+    entry.key = rec.key;
+    sift_up(rec.heap_pos);
+  }
   return true;
 }
 
 bool Simulator::cancel(std::uint32_t slot, std::uint32_t generation) {
   if (!is_pending(slot, generation)) return false;
-  heap_remove(slab_[slot].heap_pos);
+  dequeue(slot);
   release(slot);
   return true;
 }
@@ -69,11 +80,47 @@ bool Simulator::is_pending(std::uint32_t slot, std::uint32_t generation) const {
          slab_[slot].heap_pos != kNotQueued;
 }
 
+void Simulator::enqueue(std::uint32_t slot, SimTime when) {
+  slab_[slot].key = Key{when, next_seq_++};
+  if (when == now_) {
+    lane_push_back(slot);
+  } else {
+    heap_.push_back(HeapEntry{slab_[slot].key, slot});
+    sift_up(heap_.size() - 1);
+  }
+}
+
+void Simulator::dequeue(std::uint32_t slot) {
+  if (slab_[slot].heap_pos == kInLane) {
+    lane_unlink(slot);
+  } else {
+    heap_remove(slab_[slot].heap_pos);
+  }
+}
+
+void Simulator::lane_push_back(std::uint32_t slot) {
+  EventRecord& rec = slab_[slot];
+  rec.heap_pos = kInLane;
+  rec.lane_prev = lane_tail_;
+  rec.lane_next = kNoSlot;
+  (lane_tail_ == kNoSlot ? lane_head_ : slab_[lane_tail_].lane_next) = slot;
+  lane_tail_ = slot;
+  ++lane_size_;
+}
+
+void Simulator::lane_unlink(std::uint32_t slot) {
+  EventRecord& rec = slab_[slot];
+  (rec.lane_prev == kNoSlot ? lane_head_ : slab_[rec.lane_prev].lane_next) = rec.lane_next;
+  (rec.lane_next == kNoSlot ? lane_tail_ : slab_[rec.lane_next].lane_prev) = rec.lane_prev;
+  rec.heap_pos = kNotQueued;
+  --lane_size_;
+}
+
 void Simulator::sift_up(std::size_t pos) {
   const HeapEntry e = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 2;
-    if (!earlier(e, heap_[parent])) break;
+    if (!earlier(e.key, heap_[parent].key)) break;
     place(pos, heap_[parent]);
     pos = parent;
   }
@@ -86,20 +133,12 @@ void Simulator::sift_down(std::size_t pos) {
   for (;;) {
     std::size_t child = 2 * pos + 1;
     if (child >= n) break;
-    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!earlier(heap_[child], e)) break;
+    if (child + 1 < n && earlier(heap_[child + 1].key, heap_[child].key)) ++child;
+    if (!earlier(heap_[child].key, e.key)) break;
     place(pos, heap_[child]);
     pos = child;
   }
   place(pos, e);
-}
-
-void Simulator::resift(std::size_t pos) {
-  if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 2])) {
-    sift_up(pos);
-  } else {
-    sift_down(pos);
-  }
 }
 
 void Simulator::heap_remove(std::size_t pos) {
@@ -108,7 +147,32 @@ void Simulator::heap_remove(std::size_t pos) {
   heap_.pop_back();
   if (pos == heap_.size()) return;  // removed the last entry
   place(pos, last);
-  resift(pos);
+  if (pos > 0 && earlier(heap_[pos].key, heap_[(pos - 1) / 2].key)) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+}
+
+void Simulator::settle_top() {
+  while (!heap_.empty()) {
+    HeapEntry& top = heap_.front();
+    const Key& exact = slab_[top.slot].key;
+    if (top.key.seq == exact.seq) return;
+    top.key = exact;
+    sift_down(0);
+  }
+}
+
+bool Simulator::next_time(SimTime* t) {
+  if (lane_head_ != kNoSlot) {
+    *t = now_;  // no heap event precedes now_
+    return true;
+  }
+  settle_top();
+  if (heap_.empty()) return false;
+  *t = heap_.front().key.time;
+  return true;
 }
 
 void Simulator::release(std::uint32_t slot) {
@@ -119,14 +183,24 @@ void Simulator::release(std::uint32_t slot) {
 }
 
 bool Simulator::step() {
-  if (heap_.empty()) return false;
-  const HeapEntry top = heap_.front();
-  heap_remove(0);
+  settle_top();
+  std::uint32_t slot;
+  // A heap event due now was keyed before the clock reached now_, so it
+  // precedes the whole lane; with the lane empty the clock moves on.
+  if (!heap_.empty() && (heap_.front().key.time == now_ || lane_head_ == kNoSlot)) {
+    slot = heap_.front().slot;
+    now_ = heap_.front().key.time;
+    heap_remove(0);
+  } else if (lane_head_ != kNoSlot) {
+    slot = lane_head_;
+    lane_unlink(slot);
+  } else {
+    return false;
+  }
   // Release the slot before running: handles report !pending() during the
   // callback, and the callback may itself schedule into this slot.
-  EventFn fn = std::move(slab_[top.slot].fn);
-  release(top.slot);
-  now_ = top.time;
+  EventFn fn = std::move(slab_[slot].fn);
+  release(slot);
   ++executed_;
   if (fn) fn();
   return true;
@@ -139,8 +213,9 @@ SimTime Simulator::run() {
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
-  while (!heap_.empty() && heap_.front().time <= deadline) step();
-  if (now_ < deadline && heap_.empty()) {
+  SimTime next = 0;
+  while (next_time(&next) && next <= deadline) step();
+  if (now_ < deadline && pending_events() == 0) {
     // Queue drained before the deadline: clock stays at the last event.
     return now_;
   }

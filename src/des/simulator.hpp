@@ -9,11 +9,25 @@
 // Event storage & performance
 // ---------------------------
 // Event records live in a slab (a recycled vector of records addressed by
-// slot index). The pending events form an indexed binary min-heap of small
-// POD entries keyed by (time, seq) that point into the slab, and each slab
-// record knows its position in that heap. Cancellation therefore removes the
-// entry in O(log n): the heap never holds dead entries and never needs a
-// compaction pass. reschedule_at() moves a pending event to a new time in
+// slot index), and each record holds its event's true (time, seq) key.
+// Pending events sit in one of two places:
+//
+//  * The same-instant lane: an intrusive FIFO of slab slots holding the
+//    events due at now(). An event scheduled or moved to now() takes a fresh
+//    sequence number, which sorts last within its instant, so appending to
+//    the lane keeps (time, seq) order and costs O(1).
+//  * An indexed binary min-heap of (time, seq, slot) entries for later
+//    events. Each record knows its heap position, so cancel() removes an
+//    entry in O(log n) and the heap never holds dead entries. Keys are
+//    lazy: an entry's key may be earlier than its record's, never later.
+//    Moving an event later rewrites only the record; moving it earlier
+//    re-keys the entry and sifts it up. step() and run_until() re-key stale
+//    entries when they reach the top, until the top is exact.
+//
+// step() runs a heap event due at now() before the lane (it was keyed before
+// the clock reached now(), so its sequence number is smaller), then the lane
+// front, and only then advances the clock to the heap top. Every event thus
+// runs in exact (time, seq) order. reschedule_at() moves a pending event in
 // place, keeping its callback and handle. Releasing a slot bumps its
 // generation counter, so stale handles never match a recycled slot.
 // Callbacks are stored in an EventFn — a move-only callable with 48 bytes of
@@ -103,39 +117,57 @@ class Simulator {
   bool step();
 
   /// Number of scheduled events that have neither fired nor been cancelled.
-  std::size_t pending_events() const { return heap_.size(); }
+  std::size_t pending_events() const { return heap_.size() + lane_size_; }
   std::uint64_t executed_events() const { return executed_; }
 
  private:
   friend class EventHandle;
 
-  /// Heap position of a slab record that is not pending (free slot, or an
-  /// event that is firing).
+  /// `heap_pos` of a slab record that is not pending (free slot, or an event
+  /// that is firing), and of one waiting in the same-instant lane.
   static constexpr std::uint32_t kNotQueued = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kInLane = 0xFFFFFFFEu;
+  /// End-of-lane marker for the lane's slot links.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// Ordering key. (time, seq) is a strict total order, and a sequence
+  /// number identifies the key it was issued with.
+  struct Key {
+    SimTime time;
+    std::uint64_t seq;
+  };
+  static bool earlier(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
 
   /// One slab cell. `generation` advances every time the slot is released
   /// (fire or cancel), invalidating stale handles.
   struct EventRecord {
     std::uint32_t generation = 0;
-    std::uint32_t heap_pos = kNotQueued;  ///< index into heap_ while pending
+    std::uint32_t heap_pos = kNotQueued;  ///< index into heap_, or kInLane
+    std::uint32_t lane_prev = kNoSlot;    ///< lane neighbours while kInLane
+    std::uint32_t lane_next = kNoSlot;
+    Key key{};  ///< the event's true key; its heap entry may hold an earlier one
     EventFn fn;
   };
 
-  /// Heap entry: the (time, seq) ordering key plus the slab slot it refers
-  /// to. (time, seq) is a strict total order, so pop order does not depend
-  /// on the heap's shape.
+  /// Heap entry: a lower bound on the event's key plus its slab slot.
   struct HeapEntry {
-    SimTime time;
-    std::uint64_t seq;
+    Key key;
     std::uint32_t slot;
   };
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
 
   bool cancel(std::uint32_t slot, std::uint32_t generation);
   bool is_pending(std::uint32_t slot, std::uint32_t generation) const;
+
+  /// Give `slot` the key (when, next seq) and queue it: in the lane if
+  /// `when` is now(), else in the heap.
+  void enqueue(std::uint32_t slot, SimTime when);
+  /// Take a pending slot out of the lane or the heap (it stays allocated).
+  void dequeue(std::uint32_t slot);
+  void lane_push_back(std::uint32_t slot);
+  void lane_unlink(std::uint32_t slot);
 
   /// Store `e` at heap position `pos` and record the position in the slab.
   void place(std::size_t pos, const HeapEntry& e) {
@@ -145,9 +177,13 @@ class Simulator {
   /// Restore the heap property for the entry at `pos` after its key changed.
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  void resift(std::size_t pos);
-  /// Take the entry at `pos` out of the heap (the slot stays allocated).
+  /// Take the entry at `pos` out of the heap.
   void heap_remove(std::size_t pos);
+  /// Re-key stale entries at the heap top until the top's key is exact, so
+  /// the top is the earliest event in the heap.
+  void settle_top();
+  /// Time of the next event to run; false if none is pending.
+  bool next_time(SimTime* t);
   /// Return a slot whose event fired or was cancelled to the free list.
   void release(std::uint32_t slot);
 
@@ -157,7 +193,10 @@ class Simulator {
 
   std::vector<EventRecord> slab_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapEntry> heap_;  ///< binary min-heap ordered by earlier()
+  std::vector<HeapEntry> heap_;  ///< binary min-heap ordered by entry keys
+  std::uint32_t lane_head_ = kNoSlot;  ///< same-instant FIFO, all at now_
+  std::uint32_t lane_tail_ = kNoSlot;
+  std::size_t lane_size_ = 0;
 
   std::shared_ptr<Simulator*> self_;  ///< handles' liveness tag
 };

@@ -1183,8 +1183,10 @@ void JobExecution::setup_elastic() {
 
   const auto total_chunks = ctx_.layout.chunks().size();
   auto next_dormant = std::make_shared<std::size_t>(0);
+  // Each pending check event owns the controller; the controller reaches
+  // itself only weakly, so it is freed with the last event.
   auto controller = std::make_shared<std::function<void()>>();
-  *controller = [this, next_dormant, controller, total_chunks] {
+  *controller = [this, next_dormant, self = std::weak_ptr(controller), total_chunks] {
     const RunOptions& opts = ctx_.options;
     if (ctx_.recorder.finished) return;  // run over: stop rescheduling
     const double now = ctx_.now_seconds();
@@ -1219,7 +1221,7 @@ void JobExecution::setup_elastic() {
       }
     }
     ctx_.sim().schedule(des::from_seconds(opts.elastic.check_interval_seconds),
-                        [controller] { (*controller)(); });
+                        [controller = self.lock()] { (*controller)(); });
   };
   platform_.sim().schedule(des::from_seconds(options.elastic.check_interval_seconds),
                            [controller] { (*controller)(); });

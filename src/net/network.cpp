@@ -164,12 +164,10 @@ void Network::detach_from_links(Flow& flow) {
 void Network::collect_component(const std::vector<LinkId>& seed_links) {
   ++epoch_;
   comp_flows_.clear();
-  comp_links_.clear();
   bfs_stack_.clear();
   const auto push_link = [this](LinkId l) {
     if (link_epoch_[l] != epoch_) {
       link_epoch_[l] = epoch_;
-      comp_links_.push_back(l);
       bfs_stack_.push_back(l);
     }
   };
@@ -186,7 +184,6 @@ void Network::collect_component(const std::vector<LinkId>& seed_links) {
     }
   }
   std::sort(comp_flows_.begin(), comp_flows_.end(), kStartedBefore);
-  std::sort(comp_links_.begin(), comp_links_.end());
 }
 
 void Network::settle_flows(const std::vector<Flow*>& flows) {

@@ -185,7 +185,7 @@ class Network {
   void detach_from_links(Flow& flow);
 
   /// Gather the connected component (active flows <-> links) reachable from
-  /// `seed_links` into comp_flows_/comp_links_, sorted by start order.
+  /// `seed_links` into comp_flows_, sorted by start order.
   void collect_component(const std::vector<LinkId>& seed_links);
 
   /// Charge elapsed drain time to the given flows; updates link stats.
@@ -236,7 +236,6 @@ class Network {
 
   // Scratch buffers reused across mutations (never live across a callback).
   std::vector<Flow*> comp_flows_;
-  std::vector<LinkId> comp_links_;
   std::vector<LinkId> water_links_;
   std::vector<LinkId> bfs_stack_;
   std::vector<Flow*> unfrozen_;

@@ -2,12 +2,14 @@
 // rebalancing"): a randomized differential test driving the scoped and
 // global-reference modes through the same operation sequence, plus pins for
 // the unified completion re-arm floor, component isolation, stale flow ids
-// after slot reuse, and start-order teardown.
+// after slot reuse, start-order teardown, and the order of completions that
+// fall in the same nanosecond.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "des/simulator.hpp"
@@ -342,6 +344,59 @@ TEST(FlowSlab, EndpointTeardownFollowsStartOrder) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(at[0], at[1]);  // a genuine tie, broken by re-arm order
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// --- same-nanosecond completions ------------------------------------------
+
+// k equal flows that drain in the same nanosecond complete in start order.
+// `shared`: all cross one 1 MB/s link, so each completion raises the rates
+// of the rest and re-arms them to fire at once. Otherwise each has its own
+// link and nothing re-arms. A zero-delay event scheduled from the first
+// completion callback lands behind whatever is already due at that instant.
+std::vector<int> same_instant_completions(bool shared, des::SimTime* finished_at) {
+  constexpr int kFlows = 4;
+  des::Simulator sim;
+  Network net(sim);
+  const SiteId s = net.add_site("s");
+  const EndpointId sink = net.add_endpoint("sink", s);
+  const LinkId one = net.add_link("shared", 1e6, des::from_seconds(0.001));
+  std::vector<int> order;
+  std::vector<des::SimTime> at;
+  for (int i = 0; i < kFlows; ++i) {
+    const EndpointId src = net.add_endpoint("src" + std::to_string(i), s);
+    const LinkId own = shared ? one : net.add_link("own" + std::to_string(i), 25e4,
+                                                   des::from_seconds(0.001));
+    net.set_access_path(src, {own});
+    // 250 kB at 250 kB/s either way: every flow drains exactly 1 s after
+    // activation.
+    net.start_flow(src, sink, 250'000, 0.0, [&, i] {
+      order.push_back(i);
+      at.push_back(sim.now());
+      if (i == 0) sim.schedule(0, [&] { order.push_back(-1); });
+    });
+  }
+  sim.run();
+  EXPECT_EQ(order.size(), kFlows + 1u);
+  for (des::SimTime t : at) EXPECT_EQ(t, des::from_seconds(1.001));
+  *finished_at = sim.now();
+  return order;
+}
+
+TEST(SameInstantCompletion, IndependentFlowsAllRunBeforeAZeroDelayEvent) {
+  // The other completions were armed before the clock reached this instant,
+  // so they precede an event scheduled at it.
+  des::SimTime end = -1;
+  EXPECT_EQ(same_instant_completions(false, &end), (std::vector<int>{0, 1, 2, 3, -1}));
+  EXPECT_EQ(end, des::from_seconds(1.001));
+}
+
+TEST(SameInstantCompletion, SharedBottleneckReArmsInStartOrder) {
+  // Flow 0's completion re-arms 1, 2, 3 to now, ahead of the zero-delay
+  // event its callback schedules. Flow 1's completion then re-arms 2 and 3
+  // again, which moves them behind that event.
+  des::SimTime end = -1;
+  EXPECT_EQ(same_instant_completions(true, &end), (std::vector<int>{0, 1, -1, 2, 3}));
+  EXPECT_EQ(end, des::from_seconds(1.001));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the discrete-event simulation kernel: deterministic ordering,
-// cancellation, in-place rescheduling, bounded runs, and a randomized
-// differential test against a naive (time, seq)-ordered reference.
+// cancellation, in-place rescheduling, the same-instant lane, lazy heap keys,
+// bounded runs, and a randomized differential test against a naive
+// (time, seq)-ordered reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -394,6 +395,147 @@ TEST(Reschedule, PastTimeThrowsAndLeavesEventInPlace) {
   EXPECT_TRUE(h.pending());
   sim.run();
   EXPECT_EQ(fired_at, 3 * kSecond);
+}
+
+// --- same-instant lane -------------------------------------------------------
+
+TEST(SameInstantLane, HeapEventKeyedEarlierRunsBeforeLaneEventAtSameTime) {
+  // `late` was keyed for 1 s before the clock got there; `now_event` is
+  // scheduled at 1 s once the clock is there, so it sorts after `late`.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(kSecond, [&] {
+    order.push_back(0);
+    sim.schedule(0, [&] { order.push_back(2); });
+  });
+  sim.schedule(kSecond, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(SameInstantLane, RescheduleToNowQueuesBehindEventsAlreadyAtNow) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle later = sim.schedule(2 * kSecond, [&] { order.push_back(4); });
+  EventHandle lane;
+  sim.schedule(kSecond, [&] {
+    order.push_back(0);
+    lane = sim.schedule(0, [&] { order.push_back(2); });
+    sim.schedule(0, [&] { order.push_back(3); });
+    EXPECT_TRUE(sim.reschedule_at(later, sim.now()));  // heap -> lane
+    EXPECT_TRUE(sim.reschedule_at(lane, sim.now()));   // within the lane
+  });
+  sim.schedule(kSecond, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 2}));
+  EXPECT_EQ(sim.now(), kSecond);
+}
+
+TEST(SameInstantLane, CancelAndLaterRescheduleOfLaneEntry) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> lane;
+  sim.schedule(kSecond, [&] {
+    for (int i = 0; i < 4; ++i) {
+      lane.push_back(sim.schedule(0, [&order, i] { order.push_back(i); }));
+    }
+    lane[1].cancel();
+    lane[1].cancel();  // double cancel stays a no-op
+    EXPECT_FALSE(lane[1].pending());
+    EXPECT_TRUE(sim.reschedule_at(lane[0], sim.now() + kMillisecond));  // lane -> heap
+    EXPECT_TRUE(lane[0].pending());
+    lane[3].cancel();  // the lane's tail
+    EXPECT_EQ(sim.pending_events(), 2u);
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 0}));
+  EXPECT_EQ(sim.now(), kSecond + kMillisecond);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SameInstantLane, PendingEventsCountsLaneEntries) {
+  Simulator sim;
+  sim.schedule(0, [] {});  // at the current instant: a lane entry
+  sim.schedule(kSecond, [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  std::size_t seen = 0;
+  sim.schedule(0, [&] {
+    sim.schedule(0, [] {});
+    sim.schedule(0, [] {});
+    seen = sim.pending_events();
+  });
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run();
+  EXPECT_EQ(seen, 3u);  // the other two at 0 ran first: 2 new + the 1 s event
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 5u);
+}
+
+TEST(SameInstantLane, RunUntilWithOnlyLaneEntries) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(0, [&] {
+    order.push_back(0);
+    sim.schedule(0, [&] { order.push_back(2); });
+  });
+  sim.schedule(0, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.run_until(0), 0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  // Drained before the deadline: the clock stays at the last event.
+  sim.schedule(0, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run_until(5 * kMillisecond), 0);
+  EXPECT_EQ(order.back(), 3);
+
+  // A deadline behind the clock runs nothing, not even events due now.
+  sim.schedule(kSecond, [] {});
+  sim.run();
+  sim.schedule(0, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.run_until(kMillisecond), kSecond);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.run_until(kSecond), kSecond);
+  EXPECT_EQ(order.back(), 4);
+}
+
+// --- lazy heap keys -----------------------------------------------------------
+
+TEST(LazyKeys, ManyLaterMovesThenAnEarlierOne) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 8; ++i) {
+    h.push_back(sim.schedule((i + 1) * kMillisecond, [&order, i] { order.push_back(i); }));
+  }
+  // Event 0 walks later past everyone; its heap entry keeps the old key.
+  for (int k = 2; k <= 100; ++k) {
+    EXPECT_TRUE(sim.reschedule_at(h[0], k * kMillisecond));
+  }
+  EXPECT_EQ(sim.pending_events(), 8u);
+  // Run past a few events: the stale top is re-keyed, not fired early.
+  sim.run_until(3 * kMillisecond);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // Later again, then earlier onto event 3's time (behind it: a fresh
+  // sequence number), and event 7 earlier than its own heap key.
+  EXPECT_TRUE(sim.reschedule_at(h[0], 200 * kMillisecond));
+  EXPECT_TRUE(sim.reschedule_at(h[0], 4 * kMillisecond));
+  EXPECT_TRUE(sim.reschedule_at(h[7], 3500 * kMicrosecond));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 7, 3, 0, 4, 5, 6}));
+  EXPECT_EQ(sim.now(), 7 * kMillisecond);
+}
+
+TEST(LazyKeys, CancelAfterLaterMoveRemovesTheStaleEntry) {
+  Simulator sim;
+  bool ran = false;
+  EventHandle h = sim.schedule(kMillisecond, [&] { ran = true; });
+  sim.schedule(5 * kMillisecond, [] {});
+  EXPECT_TRUE(sim.reschedule_at(h, 10 * kMillisecond));
+  h.cancel();
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.now(), 5 * kMillisecond);
 }
 
 // --- differential test against a naive reference ----------------------------
