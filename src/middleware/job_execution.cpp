@@ -11,6 +11,47 @@
 
 namespace cloudburst::middleware {
 
+namespace {
+
+using ChaosKind = chaos::ChaosEvent::Kind;
+
+/// Stochastic spot draws beyond this horizon are never scheduled: the DES
+/// runs until its queue drains, so a reclaim drawn months into simulated
+/// time must not keep the run alive.
+constexpr double kSpotHorizonSeconds = 1e7;
+
+/// A lifecycle event as the chaos node fault it is equivalent to.
+chaos::ChaosEvent as_node_fault(const RunOptions::LifecycleEvent& ev) {
+  using Kind = RunOptions::LifecycleEvent::Kind;
+  chaos::ChaosEvent fault;
+  fault.kind = ev.kind == Kind::Crash   ? ChaosKind::NodeCrash
+               : ev.kind == Kind::Drain ? ChaosKind::NodeDrain
+                                        : ChaosKind::SpotReclaim;
+  fault.site_a = ev.site;
+  fault.node_index = ev.node_index;
+  fault.at_seconds = ev.at_seconds;
+  fault.notice_seconds = ev.notice_seconds;
+  return fault;
+}
+
+/// The one rule set for a node fault, whichever front end names it.
+void validate_node_fault(const cluster::Platform& platform, const chaos::ChaosEvent& ev) {
+  if (ev.site_a >= platform.cluster_count()) {
+    throw std::invalid_argument("run_distributed: node fault names an unknown site");
+  }
+  if (ev.node_index >= platform.nodes(ev.site_a).size()) {
+    throw std::invalid_argument("run_distributed: node fault names an unknown node");
+  }
+  if (ev.at_seconds < 0.0) {
+    throw std::invalid_argument("run_distributed: node fault time must be >= 0");
+  }
+  if (ev.kind == ChaosKind::SpotReclaim && ev.notice_seconds < 0.0) {
+    throw std::invalid_argument("run_distributed: spot reclaim notice must be >= 0");
+  }
+}
+
+}  // namespace
+
 void validate_run(const cluster::Platform& platform, const storage::DataLayout& layout,
                   const RunOptions& options) {
   if ((options.task == nullptr) != (options.dataset == nullptr)) {
@@ -32,15 +73,14 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     throw std::invalid_argument(
         "run_distributed: periodic checkpointing requires reduction_tree = false");
   }
-  if (!options.failures.empty() && options.reduction_tree) {
-    throw std::invalid_argument(
-        "run_distributed: failure injection requires reduction_tree = false "
-        "(the master must track per-slave work)");
-  }
   if (options.elastic.enabled) {
     if (options.reduction_tree) {
       throw std::invalid_argument(
           "run_distributed: elastic bursting requires reduction_tree = false");
+    }
+    if (options.static_assignment) {
+      throw std::invalid_argument(
+          "run_distributed: static assignment excludes elastic mode");
     }
     const auto cloud_nodes = platform.cloud_node_count();
     if (cloud_nodes > 0 && options.elastic.initial_cloud_nodes == 0) {
@@ -49,23 +89,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
     }
     if (options.elastic.check_interval_seconds <= 0.0) {
       throw std::invalid_argument("run_distributed: elastic check interval must be > 0");
-    }
-  }
-  for (const auto& f : options.failures) {
-    if (f.side >= platform.cluster_count()) {
-      throw std::invalid_argument("run_distributed: failure names an unknown cluster");
-    }
-    const auto& nodes = platform.nodes(f.side);
-    if (f.node_index >= nodes.size()) {
-      throw std::invalid_argument("run_distributed: failure names an unknown node");
-    }
-    std::size_t failing_here = 0;
-    for (const auto& g : options.failures) {
-      if (g.side == f.side) ++failing_here;
-    }
-    if (failing_here >= nodes.size()) {
-      throw std::invalid_argument(
-          "run_distributed: failures would leave a cluster with no live slaves");
     }
   }
 
@@ -92,11 +115,10 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
           "run_distributed: pool leases require RunOptions::directory");
     }
     if (options.elastic.enabled || options.migration.standby_nodes > 0 ||
-        !options.lifecycle.empty() || !options.failures.empty() ||
-        options.spot.reclaim_rate_per_hour > 0.0) {
+        !options.lifecycle.empty() || options.spot.reclaim_rate_per_hour > 0.0) {
       throw std::invalid_argument(
           "run_distributed: the elastic node pool owns cloud-node lifetime — "
-          "per-job elastic/migration/lifecycle/failure machinery is excluded");
+          "per-job elastic/migration/lifecycle/spot machinery is excluded");
     }
     if (options.static_assignment) {
       throw std::invalid_argument(
@@ -122,10 +144,18 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
         "run_distributed: node lifecycle events require reduction_tree = false "
         "(the master must track per-slave work)");
   }
-  if (has_lifecycle && options.elastic.enabled) {
+  // A crash only removes capacity, so it composes with elastic bursting;
+  // drains, reclaims and standbys manage capacity themselves.
+  const bool only_crashes =
+      std::all_of(options.lifecycle.begin(), options.lifecycle.end(), [](const auto& ev) {
+        return ev.kind == RunOptions::LifecycleEvent::Kind::Crash;
+      });
+  if (options.elastic.enabled &&
+      (!only_crashes || options.spot.reclaim_rate_per_hour > 0.0 ||
+       options.migration.standby_nodes > 0)) {
     throw std::invalid_argument(
-        "run_distributed: node lifecycle events are mutually exclusive with "
-        "elastic bursting (one controller owns the dormant pool)");
+        "run_distributed: node drains, spot reclaims and migration are mutually "
+        "exclusive with elastic bursting (one controller owns the dormant pool)");
   }
   if (has_lifecycle && options.static_assignment) {
     throw std::invalid_argument(
@@ -134,25 +164,7 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
   if (options.spot.reclaim_rate_per_hour < 0.0) {
     throw std::invalid_argument("run_distributed: spot reclaim rate must be >= 0");
   }
-  for (const auto& ev : options.lifecycle) {
-    if (ev.site >= platform.cluster_count()) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle event names an unknown cluster");
-    }
-    if (ev.node_index >= platform.nodes(ev.site).size()) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle event names an unknown node");
-    }
-    if (ev.at_seconds < 0.0) {
-      throw std::invalid_argument(
-          "run_distributed: lifecycle event time must be >= 0");
-    }
-    if (ev.kind == RunOptions::LifecycleEvent::Kind::SpotReclaim &&
-        ev.notice_seconds < 0.0) {
-      throw std::invalid_argument(
-          "run_distributed: spot reclaim notice must be >= 0");
-    }
-  }
+  for (const auto& ev : options.lifecycle) validate_node_fault(platform, as_node_fault(ev));
   if (options.migration.standby_nodes > 0) {
     if (platform.cloud_node_count() <= options.migration.standby_nodes) {
       throw std::invalid_argument(
@@ -163,16 +175,13 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
       throw std::invalid_argument("run_distributed: migration boot time must be >= 0");
     }
   }
-  // Every scheduled removal (legacy failures plus lifecycle events — a drain
-  // also takes its node out of the run) must leave each cluster one live,
-  // non-standby slave; distinct victims only, so a node named twice counts once.
+  // Every scheduled removal (a drain also takes its node out of the run) must
+  // leave each cluster one live, non-standby slave; distinct victims only, so
+  // a node named twice counts once.
   for (cluster::ClusterId site = 0; site < platform.cluster_count(); ++site) {
     const auto& nodes = platform.nodes(site);
     if (nodes.empty()) continue;
     std::set<std::uint32_t> victims;
-    for (const auto& f : options.failures) {
-      if (f.side == site) victims.insert(f.node_index);
-    }
     for (const auto& ev : options.lifecycle) {
       if (ev.site == site) victims.insert(ev.node_index);
     }
@@ -194,7 +203,6 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
       throw std::invalid_argument(
           "run_distributed: static assignment excludes chaos plans");
     }
-    using ChaosKind = chaos::ChaosEvent::Kind;
     for (const auto& ev : options.chaos->events) {
       if (ev.at_seconds < 0.0) {
         throw std::invalid_argument("run_distributed: chaos event time must be >= 0");
@@ -230,20 +238,8 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
           break;
         case ChaosKind::NodeCrash:
         case ChaosKind::NodeDrain:
-          if (ev.node_index >= platform.nodes(ev.site_a).size()) {
-            throw std::invalid_argument(
-                "run_distributed: chaos event names an unknown node");
-          }
-          break;
         case ChaosKind::SpotReclaim:
-          if (ev.node_index >= platform.nodes(ev.site_a).size()) {
-            throw std::invalid_argument(
-                "run_distributed: chaos event names an unknown node");
-          }
-          if (ev.notice_seconds < 0.0) {
-            throw std::invalid_argument(
-                "run_distributed: chaos spot-reclaim notice must be >= 0");
-          }
+          validate_node_fault(platform, ev);
           break;
       }
     }
@@ -279,13 +275,14 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
   build_prefetchers();
   build_actors(register_mailbox);
   apply_static_assignment();
-  schedule_failures();
   setup_elastic();
   setup_migration();
-  schedule_lifecycle();
   setup_pool();
-  setup_directory();
+  schedule_lifecycle();
   setup_chaos();
+  // Last: it schedules nothing, and a constructor that throws above leaves
+  // no watcher pointing at a dead execution.
+  setup_directory();
 }
 
 JobExecution::~JobExecution() {
@@ -395,6 +392,12 @@ SlaveNode* JobExecution::slave_by_endpoint(net::EndpointId ep) {
     if (s->endpoint() == ep) return s.get();
   }
   return nullptr;
+}
+
+SlaveNode* JobExecution::slave_at(cluster::ClusterId site, std::uint32_t node_index) {
+  const auto& nodes = platform_.nodes(site);
+  return node_index < nodes.size() ? slave_by_endpoint(nodes[node_index].endpoint)
+                                   : nullptr;
 }
 
 MasterNode* JobExecution::master_of(cluster::ClusterId site) {
@@ -647,10 +650,6 @@ void JobExecution::build_actors(const MailboxRegistrar& register_mailbox) {
 void JobExecution::apply_static_assignment() {
   const RunOptions& options = ctx_.options;
   if (!options.static_assignment) return;
-  if (!options.failures.empty() || options.elastic.enabled) {
-    throw std::invalid_argument(
-        "run_distributed: static assignment excludes failures and elastic mode");
-  }
   // Each chunk goes to the cluster whose preferred store holds it; chunks
   // on a store no active cluster prefers are dealt round-robin across the
   // clusters (a lone cluster therefore takes everything).
@@ -674,121 +673,65 @@ void JobExecution::apply_static_assignment() {
   }
 }
 
-void JobExecution::schedule_failures() {
-  // Injection times are relative to construction — i.e. to the job's own
-  // start, since start() follows construction at the same sim instant.
-  for (const auto& f : ctx_.options.failures) {
-    // Locate the victim slave and its master.
-    const auto& nodes = platform_.nodes(f.side);
-    const net::EndpointId victim_ep = nodes.at(f.node_index).endpoint;
-    SlaveNode* victim = nullptr;
-    for (auto& s : slaves_) {
-      if (s->endpoint() == victim_ep) victim = s.get();
+void JobExecution::schedule_lifecycle() {
+  // Fault times are relative to construction — i.e. to the job's own start,
+  // since start() follows construction at the same sim instant.
+  for (const auto& lifecycle_event : ctx_.options.lifecycle) {
+    const chaos::ChaosEvent ev = as_node_fault(lifecycle_event);
+    SlaveNode* victim = slave_at(ev.site_a, ev.node_index);
+    if (!victim) {
+      throw std::logic_error("run_distributed: lifecycle target not instantiated");
     }
-    MasterNode* master = nullptr;
-    for (auto& m : masters_) {
-      if (m->site() == f.side) master = m.get();
+    schedule_node_fault(ev.kind, victim, ev.at_seconds, ev.notice_seconds);
+  }
+  if (ctx_.options.spot.reclaim_rate_per_hour > 0.0) {
+    for (auto& slave : slaves_) {
+      if (platform_.is_cloud(slave->site())) draw_spot_reclaim(slave.get());
     }
-    if (!victim || !master) {
-      throw std::logic_error("run_distributed: failure target not instantiated");
-    }
-    platform_.sim().schedule(des::from_seconds(f.at_seconds), [this, victim] {
+  }
+}
+
+void JobExecution::draw_spot_reclaim(SlaveNode* node) {
+  const RunOptions::SpotPolicy& spot = ctx_.options.spot;
+  const std::uint64_t seed = spot.seed ? spot.seed : ctx_.options.random_seed;
+  Rng rng = Rng::substream(seed, spot_streams_used_++);
+  const double at = rng.exponential(spot.reclaim_rate_per_hour / 3600.0);
+  // A never-leased standby is not rented yet: it redraws at lease time.
+  if (dormant_standby_.count(node->endpoint()) || at > kSpotHorizonSeconds) return;
+  schedule_node_fault(ChaosKind::SpotReclaim, node, at, spot.notice_seconds);
+}
+
+void JobExecution::schedule_node_fault(chaos::ChaosEvent::Kind kind, SlaveNode* victim,
+                                       double at_seconds, double notice_seconds) {
+  MasterNode* master = master_of(victim->site());
+  const net::EndpointId victim_ep = victim->endpoint();
+  const double detection = ctx_.options.failure_detection_seconds;
+  // Every event below is inert once the run finished, on a node that is
+  // already dead (vacated, killed by an outage), and on a never-leased
+  // standby: an instance that was never rented cannot fail.
+  if (kind == ChaosKind::NodeCrash) {
+    platform_.sim().schedule(des::from_seconds(at_seconds), [this, victim] {
+      if (ctx_.recorder.finished || !victim->alive()) return;
+      if (dormant_standby_.count(victim->endpoint())) return;
       ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
       ++ctx_.recorder.lifecycle.nodes_crashed;
       victim->kill();
     });
     platform_.sim().schedule(
-        des::from_seconds(f.at_seconds + ctx_.options.failure_detection_seconds),
-        [master, victim_ep] { master->on_slave_failed(victim_ep); });
-  }
-}
-
-namespace {
-/// Stochastic spot draws beyond this horizon are never scheduled: the DES
-/// runs until its queue drains, so a reclaim drawn months into simulated
-/// time must not keep the run alive.
-constexpr double kSpotHorizonSeconds = 1e7;
-}  // namespace
-
-void JobExecution::schedule_lifecycle() {
-  const RunOptions& options = ctx_.options;
-  using Kind = RunOptions::LifecycleEvent::Kind;
-  for (const auto& ev : options.lifecycle) {
-    const auto& nodes = platform_.nodes(ev.site);
-    const net::EndpointId victim_ep = nodes.at(ev.node_index).endpoint;
-    const std::string victim_name = nodes.at(ev.node_index).name;
-    switch (ev.kind) {
-      case Kind::Crash: {
-        // Same mechanics as a legacy FailureEvent, with guards: a node that
-        // already vacated (or a never-leased standby) cannot crash.
-        SlaveNode* victim = slave_by_endpoint(victim_ep);
-        MasterNode* master = master_of(ev.site);
-        if (!victim || !master) {
-          throw std::logic_error("run_distributed: lifecycle target not instantiated");
-        }
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
-          if (ctx_.recorder.finished || !victim->alive()) return;
-          if (dormant_standby_.count(victim->endpoint())) return;
-          ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
-          ++ctx_.recorder.lifecycle.nodes_crashed;
-          victim->kill();
+        des::from_seconds(at_seconds + detection), [this, master, victim_ep] {
+          if (ctx_.recorder.finished) return;
+          if (dormant_standby_.count(victim_ep)) return;
+          master->on_slave_failed(victim_ep);
         });
-        platform_.sim().schedule(
-            des::from_seconds(ev.at_seconds + options.failure_detection_seconds),
-            [this, master, victim_ep] {
-              if (ctx_.recorder.finished) return;
-              if (dormant_standby_.count(victim_ep)) return;
-              master->on_slave_failed(victim_ep);
-            });
-        break;
-      }
-      case Kind::Drain:
-        schedule_drain(ev.site, victim_ep, victim_name, ev.at_seconds,
-                       /*notice_seconds=*/-1.0);
-        break;
-      case Kind::SpotReclaim:
-        schedule_drain(ev.site, victim_ep, victim_name, ev.at_seconds,
-                       std::max(0.0, ev.notice_seconds));
-        break;
-    }
+    return;
   }
-
-  if (options.spot.reclaim_rate_per_hour > 0.0) {
-    // One exponential reclaim draw per rented cloud node, each from its own
-    // deterministic substream (never-leased standbys are not rented yet;
-    // they redraw at lease time).
-    const std::uint64_t seed =
-        options.spot.seed ? options.spot.seed : options.random_seed;
-    const double rate_per_second = options.spot.reclaim_rate_per_hour / 3600.0;
-    for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-      if (!platform_.is_cloud(site)) continue;
-      for (const auto& node : site_nodes_[site]) {
-        Rng rng = Rng::substream(seed, spot_streams_used_++);
-        const double at = rng.exponential(rate_per_second);
-        if (dormant_standby_.count(node.endpoint)) continue;
-        if (at > kSpotHorizonSeconds) continue;
-        schedule_drain(site, node.endpoint, node.name, at,
-                       std::max(0.0, options.spot.notice_seconds));
-      }
-    }
-  }
-}
-
-void JobExecution::schedule_drain(cluster::ClusterId site, net::EndpointId victim_ep,
-                                  const std::string& victim_name, double at_seconds,
-                                  double notice_seconds) {
-  SlaveNode* victim = slave_by_endpoint(victim_ep);
-  MasterNode* master = master_of(site);
-  if (!victim || !master) {
-    throw std::logic_error("run_distributed: lifecycle target not instantiated");
-  }
-  const bool hard = notice_seconds >= 0.0;  // spot reclaim: kill at deadline
+  const bool hard = kind == ChaosKind::SpotReclaim;  // kill at the deadline
+  notice_seconds = std::max(0.0, notice_seconds);
   platform_.sim().schedule(
-      des::from_seconds(at_seconds),
-      [this, victim, victim_name, notice_seconds, hard] {
+      des::from_seconds(at_seconds), [this, victim, notice_seconds, hard] {
         if (ctx_.recorder.finished || !victim->alive() || victim->draining()) return;
         if (dormant_standby_.count(victim->endpoint())) return;
-        ctx_.trace(trace::EventKind::NodeDrainRequested, victim_name,
+        ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(),
                    hard ? static_cast<std::uint64_t>(notice_seconds) : 0,
                    hard ? 1 : 0);
         victim->begin_drain();
@@ -796,30 +739,27 @@ void JobExecution::schedule_drain(cluster::ClusterId site, net::EndpointId victi
   if (!hard) return;
   platform_.sim().schedule(
       des::from_seconds(at_seconds + notice_seconds),
-      [this, victim, master, victim_ep, victim_name] {
+      [this, victim, master, victim_ep, detection] {
         // Already vacated (or never drained because it was dead/dormant at
         // notice time): nothing to reclaim.
         if (ctx_.recorder.finished || !victim->alive()) return;
         if (dormant_standby_.count(victim_ep)) return;
-        ctx_.trace(trace::EventKind::NodeReclaimed, victim_name, 0, 0);
+        ctx_.trace(trace::EventKind::NodeReclaimed, victim->name(), 0, 0);
         ++ctx_.recorder.lifecycle.nodes_reclaimed;
         // Spot billing stops the instant the provider takes the node back.
         ctx_.recorder.end_cloud_billing(
             victim_ep, ctx_.now_seconds() - ctx_.job_start_seconds);
         victim->kill();
-        ctx_.sim().schedule(
-            des::from_seconds(ctx_.options.failure_detection_seconds),
-            [this, master, victim_ep] {
-              if (ctx_.recorder.finished) return;
-              master->on_slave_failed(victim_ep);
-            });
+        ctx_.sim().schedule(des::from_seconds(detection), [this, master, victim_ep] {
+          if (ctx_.recorder.finished) return;
+          master->on_slave_failed(victim_ep);
+        });
       });
 }
 
 void JobExecution::setup_chaos() {
   const chaos::ChaosPlan* plan = ctx_.options.chaos;
   if (!plan) return;
-  using ChaosKind = chaos::ChaosEvent::Kind;
   for (const auto& ev : plan->events) {
     switch (ev.kind) {
       case ChaosKind::LinkFault: {
@@ -893,44 +833,16 @@ void JobExecution::setup_chaos() {
         }
         break;
       }
-      case ChaosKind::NodeCrash: {
+      case ChaosKind::NodeCrash:
+      case ChaosKind::NodeDrain:
+      case ChaosKind::SpotReclaim:
         // Random plans may target nodes outside this job's membership
         // (directory-filtered, pooled): those events miss quietly instead of
         // throwing like the hand-written lifecycle specs.
-        const auto& nodes = platform_.nodes(ev.site_a);
-        if (ev.node_index >= nodes.size()) break;
-        const net::EndpointId victim_ep = nodes[ev.node_index].endpoint;
-        SlaveNode* victim = slave_by_endpoint(victim_ep);
-        MasterNode* master = master_of(ev.site_a);
-        if (!victim || !master) break;
-        platform_.sim().schedule(des::from_seconds(ev.at_seconds), [this, victim] {
-          if (ctx_.recorder.finished || !victim->alive()) return;
-          if (dormant_standby_.count(victim->endpoint())) return;
-          ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
-          ++ctx_.recorder.lifecycle.nodes_crashed;
-          victim->kill();
-        });
-        platform_.sim().schedule(
-            des::from_seconds(ev.at_seconds + ctx_.options.failure_detection_seconds),
-            [this, master, victim_ep] {
-              if (ctx_.recorder.finished) return;
-              if (dormant_standby_.count(victim_ep)) return;
-              master->on_slave_failed(victim_ep);
-            });
+        if (SlaveNode* victim = slave_at(ev.site_a, ev.node_index)) {
+          schedule_node_fault(ev.kind, victim, ev.at_seconds, ev.notice_seconds);
+        }
         break;
-      }
-      case ChaosKind::NodeDrain:
-      case ChaosKind::SpotReclaim: {
-        const auto& nodes = platform_.nodes(ev.site_a);
-        if (ev.node_index >= nodes.size()) break;
-        const net::EndpointId victim_ep = nodes[ev.node_index].endpoint;
-        if (!slave_by_endpoint(victim_ep) || !master_of(ev.site_a)) break;
-        schedule_drain(ev.site_a, victim_ep, nodes[ev.node_index].name, ev.at_seconds,
-                       ev.kind == ChaosKind::SpotReclaim
-                           ? std::max(0.0, ev.notice_seconds)
-                           : -1.0);
-        break;
-      }
       case ChaosKind::SiteOutage: {
         const cluster::ClusterId site = ev.site_a;
         platform_.sim().schedule(des::from_seconds(ev.at_seconds),
@@ -1129,17 +1041,7 @@ bool JobExecution::lease_replacement(cluster::ClusterId site) {
   });
   // A leased replacement is itself a spot instance: give it its own reclaim
   // draw, measured from the lease.
-  const RunOptions& options = ctx_.options;
-  if (options.spot.reclaim_rate_per_hour > 0.0) {
-    const std::uint64_t seed =
-        options.spot.seed ? options.spot.seed : options.random_seed;
-    Rng rng = Rng::substream(seed, spot_streams_used_++);
-    const double at = rng.exponential(options.spot.reclaim_rate_per_hour / 3600.0);
-    if (at <= kSpotHorizonSeconds) {
-      schedule_drain(site, chosen.slave->endpoint(), name, at,
-                     std::max(0.0, options.spot.notice_seconds));
-    }
-  }
+  if (ctx_.options.spot.reclaim_rate_per_hour > 0.0) draw_spot_reclaim(booting);
   return true;
 }
 

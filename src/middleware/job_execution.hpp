@@ -43,9 +43,9 @@ class JobExecution {
       std::function<void(net::EndpointId, std::function<void(net::EndpointId, Message)>)>;
 
   /// Builds the full actor tree and schedules the job's self-driving events
-  /// (failure injections, elastic controller ticks) — everything short of
-  /// the first master/slave action, which start() triggers. The referenced
-  /// platform/layout/options/postman must outlive this object.
+  /// (node faults, elastic controller ticks, chaos windows) — everything
+  /// short of the first master/slave action, which start() triggers. The
+  /// referenced platform/layout/options/postman must outlive this object.
   JobExecution(cluster::Platform& platform, const storage::DataLayout& layout,
                const RunOptions& options, net::Postman<Message>& postman,
                const MailboxRegistrar& register_mailbox, std::uint32_t job_id = 0,
@@ -104,17 +104,18 @@ class JobExecution {
   void build_prefetchers();
   void build_actors(const MailboxRegistrar& register_mailbox);
   void apply_static_assignment();
-  void schedule_failures();
   void setup_elastic();
   /// Checkpointed migration: hold back standby cloud slaves and install the
   /// on_node_lost hook that leases them.
   void setup_migration();
-  /// Schedule RunOptions::lifecycle events plus the stochastic spot-reclaim
-  /// draws (one exponential per active cloud node).
+  /// Schedule RunOptions::lifecycle events (a target this job did not build
+  /// is a logic_error) plus the stochastic spot-reclaim draws (one per
+  /// rented cloud node).
   void schedule_lifecycle();
   /// Schedule every window of RunOptions::chaos (no-op when null): link
-  /// faults and partitions, store outages, node crash/drain/reclaim events,
-  /// and whole-site blackouts with recovery.
+  /// faults and partitions, store outages, node crash/drain/reclaim events
+  /// (a target this job did not build misses quietly), and whole-site
+  /// blackouts with recovery.
   void setup_chaos();
   /// Site blackout: WAN links cut, store dark, slaves killed and their
   /// in-flight flows cancelled, directory services retired, master
@@ -124,14 +125,22 @@ class JobExecution {
   /// services re-registered (fresh generation) for future placement. Nodes
   /// killed by the outage stay dead for this job.
   void recover_site(cluster::ClusterId site);
-  /// Drain notice at `at_seconds` (relative to now); `notice_seconds >= 0`
-  /// adds a spot-reclaim hard-kill deadline that far after the notice.
-  void schedule_drain(cluster::ClusterId site, net::EndpointId victim_ep,
-                      const std::string& victim_name, double at_seconds,
-                      double notice_seconds);
+  /// The only place a node fault is scheduled, whichever front end asked
+  /// (lifecycle, spot draw, chaos node kind). `kind` is NodeCrash (guarded
+  /// kill, then detection `failure_detection_seconds` later), NodeDrain
+  /// (drain notice) or SpotReclaim (drain notice plus a hard kill
+  /// `notice_seconds` later). `at_seconds` is relative to now.
+  void schedule_node_fault(chaos::ChaosEvent::Kind kind, SlaveNode* victim,
+                           double at_seconds, double notice_seconds);
+  /// One exponential spot-reclaim draw for `node` from the next substream
+  /// (a dormant standby consumes its stream but is not scheduled).
+  void draw_spot_reclaim(SlaveNode* node);
   /// Lease the next same-site standby for a lost node; false when none left.
   bool lease_replacement(cluster::ClusterId site);
   SlaveNode* slave_by_endpoint(net::EndpointId ep);
+  /// This job's slave on platform node `node_index` of `site` (null when the
+  /// job did not build one).
+  SlaveNode* slave_at(cluster::ClusterId site, std::uint32_t node_index);
   MasterNode* master_of(cluster::ClusterId site);
 
   cluster::Platform& platform_;

@@ -99,20 +99,15 @@ struct RunOptions {
 
   /// Intra-cluster reduction topology. true: binomial tree over the slaves
   /// (fast, default). false: master-driven two-phase commit (JobDone
-  /// tracking + RobjRequest) — required when failures are injected, since
-  /// the master must know which work a dead slave's lost robj covered.
+  /// tracking + RobjRequest) — required by every node fault (`lifecycle`,
+  /// `spot`, `migration`, a chaos plan), since the master must know which
+  /// work a dead slave's lost robj covered.
   bool reduction_tree = true;
 
-  /// Simulated slave crash: the node goes silent at `at_seconds`; its master
-  /// notices after `failure_detection_seconds` (heartbeat timeout) and
-  /// re-executes every chunk the dead slave had been assigned since its last
-  /// reduction-object checkpoint.
-  struct FailureEvent {
-    cluster::ClusterId side = cluster::kLocalSite;  ///< site of the failing node
-    std::uint32_t node_index = 0;
-    double at_seconds = 0.0;
-  };
-  std::vector<FailureEvent> failures;
+  /// Heartbeat timeout: a master notices a killed slave (crash, reclaim
+  /// deadline) this long after it dies, then re-executes every chunk the
+  /// dead slave had been assigned since its last reduction-object
+  /// checkpoint.
   double failure_detection_seconds = 1.0;
 
   /// Periodic robj checkpointing (direct mode only; 0 = off): every interval
@@ -120,14 +115,16 @@ struct RunOptions {
   /// crash can lose to one interval instead of the whole run.
   double checkpoint_interval_seconds = 0.0;
 
-  /// Unified node-lifecycle event: how a node leaves the run. `Crash` is the
-  /// legacy FailureEvent (no notice, heartbeat detection, un-checkpointed
-  /// work re-executed). `Drain` is an operator notice (maintenance): the
-  /// slave stops claiming pool chunks, finishes what it holds, flushes a
-  /// final delta-robj checkpoint, and vacates — zero completed work is lost.
-  /// `SpotReclaim` is a drain with a hard deadline: `notice_seconds` after
-  /// the notice the node is killed whether or not it vacated (EC2 spot
-  /// semantics), and its billing stops at that instant.
+  /// Node-lifecycle event: how a node leaves the run. `Crash` gives no
+  /// notice: the node goes silent at `at_seconds`, its master notices after
+  /// `failure_detection_seconds` and re-executes the un-checkpointed work
+  /// (the only kind that composes with `elastic`). `Drain` is an operator
+  /// notice (maintenance): the slave stops claiming pool chunks, finishes
+  /// what it holds, flushes a final delta-robj checkpoint, and vacates —
+  /// zero completed work is lost. `SpotReclaim` is a drain with a hard
+  /// deadline: `notice_seconds` after the notice the node is killed whether
+  /// or not it vacated (EC2 spot semantics), and its billing stops at that
+  /// instant.
   struct LifecycleEvent {
     enum class Kind : std::uint8_t { Crash, Drain, SpotReclaim };
     Kind kind = Kind::Crash;
@@ -225,7 +222,8 @@ struct RunOptions {
   /// still booting (ready_in_seconds > 0) starts processing once warm, and
   /// instance billing moves from the job to the pool's lease windows.
   /// Requires reduction_tree = false; mutually exclusive with per-job
-  /// elastic / migration / failure machinery (the pool owns node lifetime).
+  /// elastic / migration / lifecycle / spot machinery (the pool owns node
+  /// lifetime).
   struct PoolLease {
     net::EndpointId node = 0;
     double ready_in_seconds = 0.0;  ///< 0 = warm now
@@ -240,8 +238,9 @@ struct RunOptions {
   /// chaos/chaos_plan.hpp). When set, JobExecution schedules every fault
   /// window against this run: WAN link faults and partitions act on the
   /// platform's inter-site links, store outages flip the store offline and
-  /// abort its in-flight GETs, node events reuse the failure/drain/reclaim
-  /// machinery, and a site outage composes all of it — links cut, store
+  /// abort its in-flight GETs, node events take the same guarded
+  /// crash/drain/reclaim path as `lifecycle` (a target the job did not build
+  /// misses quietly), and a site outage composes all of it — links cut, store
   /// dark, slaves killed, master evacuated, its uncommitted grants re-issued
   /// to surviving clusters — with directory-driven recovery at window end.
   /// Requires reduction_tree = false. nullptr (the default) leaves every

@@ -22,7 +22,7 @@ struct LifecycleStats {
   std::uint32_t drains_requested = 0;   ///< drain/reclaim notices delivered
   std::uint32_t nodes_vacated = 0;      ///< drains that completed gracefully
   std::uint32_t nodes_reclaimed = 0;    ///< hard-killed at the reclaim deadline
-  std::uint32_t nodes_crashed = 0;      ///< lifecycle Crash events fired
+  std::uint32_t nodes_crashed = 0;      ///< crashes fired (node faults, site outages)
   std::uint32_t replacements_leased = 0;  ///< standby nodes booted to migrate work
   std::uint32_t chunks_returned = 0;    ///< assigned chunks handed back unstarted
   std::uint32_t chunks_reexecuted = 0;  ///< completed-but-lost chunks re-run

@@ -19,6 +19,11 @@ using cluster::kLocalSite;
 using cluster::Platform;
 using cluster::PlatformSpec;
 
+/// A slave crash of node `node` of `site` at `at` seconds.
+RunOptions::LifecycleEvent crash(cluster::ClusterId site, std::uint32_t node, double at) {
+  return {RunOptions::LifecycleEvent::Kind::Crash, site, node, at};
+}
+
 /// Real-execution wordcount rig: any run must reproduce the serial counts.
 struct FaultRig {
   engine::MemoryDataset data;
@@ -96,7 +101,7 @@ TEST(FaultTolerance, SingleCrashMidRunStillExactlyCorrect) {
   RunOptions o = rig.options();
   // Kill a local node mid-run: its accumulated robj (several chunks of
   // work) is lost and must be re-executed elsewhere.
-  o.failures.push_back({kLocalSite, 0, 0.5 * clean.total_time});
+  o.lifecycle.push_back(crash(kLocalSite, 0, 0.5 * clean.total_time));
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o);
   rig.expect_correct(result);
@@ -107,7 +112,7 @@ TEST(FaultTolerance, SingleCrashMidRunStillExactlyCorrect) {
 TEST(FaultTolerance, CrashBeforeAnyWorkIsHarmless) {
   FaultRig rig;
   RunOptions o = rig.options();
-  o.failures.push_back({kCloudSite, 2, /*at_seconds=*/0.001});
+  o.lifecycle.push_back(crash(kCloudSite, 2, /*at_seconds=*/0.001));
   o.failure_detection_seconds = 0.01;
   rig.expect_correct(rig.run(o));
 }
@@ -117,7 +122,7 @@ TEST(FaultTolerance, CrashNearEndOfRunStillCorrect) {
   // Find the failure-free duration first, then kill someone at ~90% of it.
   const auto clean = rig.run(rig.options());
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 1, 0.9 * clean.total_time});
+  o.lifecycle.push_back(crash(kLocalSite, 1, 0.9 * clean.total_time));
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o);
   rig.expect_correct(result);
@@ -128,9 +133,9 @@ TEST(FaultTolerance, MultipleCrashesAcrossClusters) {
   FaultRig rig;
   const auto clean = rig.run(rig.options());
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 0, 0.3 * clean.total_time});
-  o.failures.push_back({kCloudSite, 3, 0.5 * clean.total_time});
-  o.failures.push_back({kCloudSite, 5, 0.8 * clean.total_time});
+  o.lifecycle.push_back(crash(kLocalSite, 0, 0.3 * clean.total_time));
+  o.lifecycle.push_back(crash(kCloudSite, 3, 0.5 * clean.total_time));
+  o.lifecycle.push_back(crash(kCloudSite, 5, 0.8 * clean.total_time));
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o);
   rig.expect_correct(result);
@@ -140,7 +145,7 @@ TEST(FaultTolerance, DetectionDelayDelaysRecovery) {
   FaultRig rig;
   const auto clean = rig.run(rig.options());
   RunOptions fast = rig.options();
-  fast.failures.push_back({kLocalSite, 0, 0.5 * clean.total_time});
+  fast.lifecycle.push_back(crash(kLocalSite, 0, 0.5 * clean.total_time));
   fast.failure_detection_seconds = 0.2;
   RunOptions slow = fast;
   slow.failure_detection_seconds = 5.0 + clean.total_time;
@@ -155,22 +160,22 @@ TEST(FaultTolerance, RejectsTreeModeWithFailures) {
   FaultRig rig;
   RunOptions o = rig.options();
   o.reduction_tree = true;
-  o.failures.push_back({kLocalSite, 0, 1.0});
+  o.lifecycle.push_back(crash(kLocalSite, 0, 1.0));
   EXPECT_THROW(rig.run(o), std::invalid_argument);
 }
 
 TEST(FaultTolerance, RejectsUnknownNode) {
   FaultRig rig;
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 99, 1.0});
+  o.lifecycle.push_back(crash(kLocalSite, 99, 1.0));
   EXPECT_THROW(rig.run(o), std::invalid_argument);
 }
 
 TEST(FaultTolerance, RejectsWipingOutACluster) {
   FaultRig rig;
   RunOptions o = rig.options();
-  o.failures.push_back({kLocalSite, 0, 1.0});
-  o.failures.push_back({kLocalSite, 1, 2.0});
+  o.lifecycle.push_back(crash(kLocalSite, 0, 1.0));
+  o.lifecycle.push_back(crash(kLocalSite, 1, 2.0));
   // 16 local cores == 2 nodes: killing both leaves no live slave.
   EXPECT_THROW(rig.run(o), std::invalid_argument);
 }
@@ -193,7 +198,7 @@ TEST(Checkpointing, BoundsWorkLostToACrash) {
   // processed is re-executed; with frequent checkpoints only the last
   // interval's work is.
   RunOptions no_ckpt = rig.options();
-  no_ckpt.failures.push_back({kCloudSite, 0, 0.5 * clean.total_time});
+  no_ckpt.lifecycle.push_back(crash(kCloudSite, 0, 0.5 * clean.total_time));
   no_ckpt.failure_detection_seconds = 0.2;
   RunOptions ckpt = no_ckpt;
   ckpt.checkpoint_interval_seconds = 1.0;
@@ -214,7 +219,7 @@ TEST(Checkpointing, CorrectAcrossIntervals) {
   for (double interval : {0.5, 1.5, 4.0}) {
     RunOptions o = rig.options();
     o.checkpoint_interval_seconds = interval;
-    o.failures.push_back({kLocalSite, 0, 0.6 * clean.total_time});
+    o.lifecycle.push_back(crash(kLocalSite, 0, 0.6 * clean.total_time));
     o.failure_detection_seconds = 0.2;
     rig.expect_correct(rig.run(o));
   }
@@ -234,8 +239,7 @@ TEST_P(CrashTimeSweep, CorrectAtAnyCrashPoint) {
   FaultRig rig;
   const auto clean = rig.run(rig.options());
   RunOptions o = rig.options();
-  o.failures.push_back(
-      {kCloudSite, 1, GetParam() * clean.total_time});
+  o.lifecycle.push_back(crash(kCloudSite, 1, GetParam() * clean.total_time));
   rig.expect_correct(rig.run(o));
 }
 

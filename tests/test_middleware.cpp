@@ -14,6 +14,7 @@
 #include "apps/wordcount.hpp"
 #include "common/units.hpp"
 #include "engine/gr_engine.hpp"
+#include "middleware/job_execution.hpp"
 #include "middleware/runtime.hpp"
 
 namespace cloudburst::middleware {
@@ -267,7 +268,8 @@ TEST(Runtime, StaticAssignmentExcludesFailuresAndElastic) {
   Rig rig;
   rig.options.static_assignment = true;
   rig.options.reduction_tree = false;
-  rig.options.failures.push_back({kCloudSite, 0, 1.0});
+  rig.options.lifecycle.push_back(
+      {RunOptions::LifecycleEvent::Kind::Crash, kCloudSite, 0, 1.0});
   EXPECT_THROW(rig.run(), std::invalid_argument);
 
   Rig rig2;
@@ -276,6 +278,26 @@ TEST(Runtime, StaticAssignmentExcludesFailuresAndElastic) {
   rig2.options.elastic.enabled = true;
   rig2.options.elastic.deadline_seconds = 1.0;
   EXPECT_THROW(rig2.run(), std::invalid_argument);
+}
+
+// validate_run alone must refuse the combination: a workload manager calls
+// only it at submit, before any JobExecution exists.
+TEST(Runtime, ValidateRunRejectsStaticAssignmentWithElastic) {
+  Platform platform(PlatformSpec::paper_testbed(16, 16));
+  storage::LayoutSpec lspec;
+  lspec.total_bytes = MiB(96);
+  lspec.num_files = 4;
+  lspec.chunks_per_file = 2;
+  lspec.unit_bytes = 64;
+  const storage::DataLayout layout = storage::build_layout(lspec);
+  RunOptions o;
+  o.profile.unit_bytes = 64;
+  o.static_assignment = true;
+  o.reduction_tree = false;
+  EXPECT_NO_THROW(validate_run(platform, layout, o));
+  o.elastic.enabled = true;
+  o.elastic.deadline_seconds = 1.0;
+  EXPECT_THROW(validate_run(platform, layout, o), std::invalid_argument);
 }
 
 TEST(Runtime, StaticAssignmentRealExecutionCorrect) {

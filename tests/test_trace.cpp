@@ -219,7 +219,8 @@ TEST(TracedRun, FailureAndActivationEventsAppear) {
   middleware::RunOptions options = apps::paper_run_options(apps::PaperApp::Knn);
   options.reduction_tree = false;
   options.tracer = &tracer;
-  options.failures.push_back({cluster::kCloudSite, 0, 5.0});
+  options.lifecycle.push_back(
+      {middleware::RunOptions::LifecycleEvent::Kind::Crash, cluster::kCloudSite, 0, 5.0});
   options.elastic.enabled = true;
   options.elastic.deadline_seconds = 1.0;  // unreachable: force activation
   options.elastic.initial_cloud_nodes = 4;
