@@ -144,18 +144,15 @@ void validate_run(const cluster::Platform& platform, const storage::DataLayout& 
         "run_distributed: node lifecycle events require reduction_tree = false "
         "(the master must track per-slave work)");
   }
-  // A crash only removes capacity, so it composes with elastic bursting;
-  // drains, reclaims and standbys manage capacity themselves.
-  const bool only_crashes =
-      std::all_of(options.lifecycle.begin(), options.lifecycle.end(), [](const auto& ev) {
-        return ev.kind == RunOptions::LifecycleEvent::Kind::Crash;
-      });
+  // Any node fault composes with elastic bursting (a lost node's replacement
+  // is leased from the held-back nodes), from either front end. Spot draws
+  // and migration standbys do not: they disagree with elastic on which nodes
+  // are held back.
   if (options.elastic.enabled &&
-      (!only_crashes || options.spot.reclaim_rate_per_hour > 0.0 ||
-       options.migration.standby_nodes > 0)) {
+      (options.spot.reclaim_rate_per_hour > 0.0 || options.migration.standby_nodes > 0)) {
     throw std::invalid_argument(
-        "run_distributed: node drains, spot reclaims and migration are mutually "
-        "exclusive with elastic bursting (one controller owns the dormant pool)");
+        "run_distributed: spot reclaims and migration are mutually exclusive with "
+        "elastic bursting (one policy decides which nodes are held back)");
   }
   if (has_lifecycle && options.static_assignment) {
     throw std::invalid_argument(
@@ -275,8 +272,8 @@ JobExecution::JobExecution(cluster::Platform& platform, const storage::DataLayou
   build_prefetchers();
   build_actors(register_mailbox);
   apply_static_assignment();
+  hold_back();
   setup_elastic();
-  setup_migration();
   setup_pool();
   schedule_lifecycle();
   setup_chaos();
@@ -349,10 +346,8 @@ void JobExecution::setup_directory() {
 
 bool JobExecution::drain_node(net::EndpointId ep) {
   if (ctx_.options.reduction_tree) return false;  // no per-slave work tracking
-  if (ctx_.recorder.finished) return false;
   SlaveNode* victim = slave_by_endpoint(ep);
-  if (!victim || !victim->alive() || victim->draining()) return false;
-  if (dormant_standby_.count(ep)) return false;
+  if (!victim || !fault_hits(victim) || victim->draining()) return false;
   ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(), 0, 0);
   victim->begin_drain();
   return true;
@@ -361,29 +356,15 @@ bool JobExecution::drain_node(net::EndpointId ep) {
 void JobExecution::setup_pool() {
   const RunOptions::PoolPlan& plan = ctx_.options.pool_plan;
   if (!plan.enabled) return;
-  // Instance time bills at the pool's lease windows, shared across every
-  // job holding the node — drop the per-job rental entries setup_elastic's
-  // non-elastic branch recorded.
-  ctx_.recorder.cloud_instance_starts.clear();
-  ctx_.recorder.cloud_instance_nodes.clear();
   for (const auto& lease : plan.leases) {
     if (lease.ready_in_seconds <= 0.0) continue;  // warm: starts with the job
     SlaveNode* booting = slave_by_endpoint(lease.node);
     if (!booting) continue;  // lease on a site this job has no master for
-    MasterNode* master = master_of(booting->site());
-    if (!master) continue;
-    // Booting: no push target yet, but counted as capacity that will pull.
-    master->mark_leased(lease.node);
     initial_active_.erase(
         std::remove(initial_active_.begin(), initial_active_.end(), booting),
         initial_active_.end());
-    platform_.sim().schedule(
-        des::from_seconds(lease.ready_in_seconds), [this, booting, master] {
-          master->mark_booted(booting->endpoint());
-          if (ctx_.recorder.finished || !booting->alive()) return;
-          ctx_.trace(trace::EventKind::InstanceActivated, booting->name());
-          booting->start();
-        });
+    boot(booting, lease.ready_in_seconds, trace::EventKind::InstanceActivated,
+         booting->name(), 0);
   }
 }
 
@@ -565,7 +546,7 @@ void JobExecution::build_prefetchers() {
     env.trace = [this, pf_name](trace::EventKind kind, std::uint64_t a,
                                 std::uint64_t b) { ctx_.trace(kind, pf_name, a, b); };
     env.on_issue = [this, site](storage::StoreId s, const storage::ChunkInfo& info) {
-      ++ctx_.recorder.prefetch_issued[site];
+      ++ctx_.recorder.clusters[site].prefetch_issued;
       ctx_.recorder.bytes_from_store[site][s] += info.bytes;
     };
     env.on_abort = [this, site](storage::StoreId s, const storage::ChunkInfo& info) {
@@ -696,8 +677,8 @@ void JobExecution::draw_spot_reclaim(SlaveNode* node) {
   const std::uint64_t seed = spot.seed ? spot.seed : ctx_.options.random_seed;
   Rng rng = Rng::substream(seed, spot_streams_used_++);
   const double at = rng.exponential(spot.reclaim_rate_per_hour / 3600.0);
-  // A never-leased standby is not rented yet: it redraws at lease time.
-  if (dormant_standby_.count(node->endpoint()) || at > kSpotHorizonSeconds) return;
+  // A held node is not rented yet: it redraws at lease time.
+  if (is_held(node) || at > kSpotHorizonSeconds) return;
   schedule_node_fault(ChaosKind::SpotReclaim, node, at, spot.notice_seconds);
 }
 
@@ -706,21 +687,19 @@ void JobExecution::schedule_node_fault(chaos::ChaosEvent::Kind kind, SlaveNode* 
   MasterNode* master = master_of(victim->site());
   const net::EndpointId victim_ep = victim->endpoint();
   const double detection = ctx_.options.failure_detection_seconds;
-  // Every event below is inert once the run finished, on a node that is
-  // already dead (vacated, killed by an outage), and on a never-leased
-  // standby: an instance that was never rented cannot fail.
+  // Every event below passes the fault_hits guard when it fires.
   if (kind == ChaosKind::NodeCrash) {
     platform_.sim().schedule(des::from_seconds(at_seconds), [this, victim] {
-      if (ctx_.recorder.finished || !victim->alive()) return;
-      if (dormant_standby_.count(victim->endpoint())) return;
+      if (!fault_hits(victim)) return;
       ctx_.trace(trace::EventKind::SlaveFailed, "node", 0, 0);
       ++ctx_.recorder.lifecycle.nodes_crashed;
       victim->kill();
     });
+    // A node still alive at detection time was never crashed (the crash
+    // missed it): there is nothing to detect.
     platform_.sim().schedule(
-        des::from_seconds(at_seconds + detection), [this, master, victim_ep] {
-          if (ctx_.recorder.finished) return;
-          if (dormant_standby_.count(victim_ep)) return;
+        des::from_seconds(at_seconds + detection), [this, master, victim, victim_ep] {
+          if (ctx_.recorder.finished || victim->alive()) return;
           master->on_slave_failed(victim_ep);
         });
     return;
@@ -729,8 +708,7 @@ void JobExecution::schedule_node_fault(chaos::ChaosEvent::Kind kind, SlaveNode* 
   notice_seconds = std::max(0.0, notice_seconds);
   platform_.sim().schedule(
       des::from_seconds(at_seconds), [this, victim, notice_seconds, hard] {
-        if (ctx_.recorder.finished || !victim->alive() || victim->draining()) return;
-        if (dormant_standby_.count(victim->endpoint())) return;
+        if (!fault_hits(victim) || victim->draining()) return;
         ctx_.trace(trace::EventKind::NodeDrainRequested, victim->name(),
                    hard ? static_cast<std::uint64_t>(notice_seconds) : 0,
                    hard ? 1 : 0);
@@ -740,10 +718,9 @@ void JobExecution::schedule_node_fault(chaos::ChaosEvent::Kind kind, SlaveNode* 
   platform_.sim().schedule(
       des::from_seconds(at_seconds + notice_seconds),
       [this, victim, master, victim_ep, detection] {
-        // Already vacated (or never drained because it was dead/dormant at
+        // Already vacated (or never drained because it was dead or held at
         // notice time): nothing to reclaim.
-        if (ctx_.recorder.finished || !victim->alive()) return;
-        if (dormant_standby_.count(victim_ep)) return;
+        if (!fault_hits(victim)) return;
         ctx_.trace(trace::EventKind::NodeReclaimed, victim->name(), 0, 0);
         ++ctx_.recorder.lifecycle.nodes_reclaimed;
         // Spot billing stops the instant the provider takes the node back.
@@ -969,126 +946,106 @@ void JobExecution::recover_site(cluster::ClusterId site) {
   ctx_.trace(trace::EventKind::SiteRecovered, "chaos", site, 0);
 }
 
-void JobExecution::setup_migration() {
+void JobExecution::hold_back() {
   const RunOptions& options = ctx_.options;
-  if (options.migration.standby_nodes == 0) return;
-  // Hold back the *last* standby_nodes cloud slaves in build order: they were
-  // just billed by setup_elastic's non-elastic branch, so un-bill them and
-  // keep them dormant (and lifecycle-immune) until leased.
-  std::vector<Standby> cloud;
-  for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-    if (!platform_.is_cloud(site)) continue;
-    for (const auto& node : site_nodes_[site]) {
-      cloud.push_back(Standby{slave_by_endpoint(node.endpoint), site, node.name});
+  std::size_t cloud_nodes = 0;
+  for (const auto& slave : slaves_) cloud_nodes += platform_.is_cloud(slave->site());
+  // Cloud slaves from index `first_held` on (build order) are held back.
+  std::size_t first_held = cloud_nodes;
+  if (options.elastic.enabled) {
+    first_held = std::min<std::size_t>(options.elastic.initial_cloud_nodes, cloud_nodes);
+  } else if (options.migration.standby_nodes > 0 &&
+             options.migration.standby_nodes < cloud_nodes) {
+    first_held = cloud_nodes - options.migration.standby_nodes;
+  }
+  std::size_t cloud_seen = 0;
+  for (auto& slave : slaves_) {
+    const bool cloud = platform_.is_cloud(slave->site());
+    if (cloud && cloud_seen++ >= first_held) {
+      held_.push_back(slave.get());
+      master_of(slave->site())->mark_dormant(slave->endpoint());
+      continue;
+    }
+    initial_active_.push_back(slave.get());
+    // A pooled job's instance time bills at the pool's lease windows, shared
+    // across every job holding the node.
+    if (cloud && !options.pool_plan.enabled) {
+      ctx_.recorder.cloud_instance_starts.push_back(0.0);
+      ctx_.recorder.cloud_instance_nodes.push_back(slave->endpoint());
     }
   }
-  for (std::size_t i = cloud.size() - options.migration.standby_nodes;
-       i < cloud.size(); ++i) {
-    standby_.push_back(cloud[i]);
-    dormant_standby_.insert(cloud[i].slave->endpoint());
-    master_of(cloud[i].site)->mark_dormant(cloud[i].slave->endpoint());
-  }
-  initial_active_.erase(
-      std::remove_if(initial_active_.begin(), initial_active_.end(),
-                     [this](SlaveNode* s) {
-                       return dormant_standby_.count(s->endpoint()) > 0;
-                     }),
-      initial_active_.end());
-  auto& starts = ctx_.recorder.cloud_instance_starts;
-  auto& nodes = ctx_.recorder.cloud_instance_nodes;
-  for (std::size_t i = nodes.size(); i-- > 0;) {
-    if (dormant_standby_.count(nodes[i])) {
-      nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(i));
-      starts.erase(starts.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
-  ctx_.on_node_lost = [this](cluster::ClusterId site) {
-    return lease_replacement(site);
-  };
+  if (held_.empty()) return;
+  ctx_.on_node_lost = [this](cluster::ClusterId site) { return lease_held(site); };
 }
 
-bool JobExecution::lease_replacement(cluster::ClusterId site) {
-  // Same-site only: a replacement pulls the lost node's re-pooled chunks from
-  // its own master, so a standby in another cluster cannot take over the
-  // work. Lease order is fixed (tail of cloud build order) for determinism.
-  std::size_t pick = standby_.size();
-  for (std::size_t i = next_standby_; i < standby_.size(); ++i) {
-    if (standby_[i].site != site) continue;
-    if (!dormant_standby_.count(standby_[i].slave->endpoint())) continue;
-    if (!standby_[i].slave->alive()) continue;
-    pick = i;
-    break;
-  }
-  if (pick == standby_.size()) return false;
-  const Standby chosen = standby_[pick];
-  if (pick == next_standby_) ++next_standby_;
-  dormant_standby_.erase(chosen.slave->endpoint());
-  master_of(site)->mark_leased(chosen.slave->endpoint());
+bool JobExecution::is_held(const SlaveNode* node) const {
+  return std::find(held_.begin() + static_cast<std::ptrdiff_t>(held_cursor_), held_.end(),
+                   node) != held_.end();
+}
 
-  const double now_rel = ctx_.now_seconds() - ctx_.job_start_seconds;
-  const double boot = ctx_.options.migration.boot_seconds;
-  // The replacement bills from the moment it comes up, like an elastic boot.
-  ctx_.recorder.cloud_instance_starts.push_back(now_rel + boot);
-  ctx_.recorder.cloud_instance_nodes.push_back(chosen.slave->endpoint());
-  ++ctx_.recorder.lifecycle.replacements_leased;
-  SlaveNode* booting = chosen.slave;
-  const std::string name = chosen.name;
-  platform_.sim().schedule(des::from_seconds(boot), [this, booting, name, site] {
-    master_of(site)->mark_booted(booting->endpoint());
-    if (ctx_.recorder.finished || !booting->alive()) return;
-    ctx_.trace(trace::EventKind::JobMigrated, name, site, 0);
-    booting->start();
-  });
-  // A leased replacement is itself a spot instance: give it its own reclaim
-  // draw, measured from the lease.
-  if (ctx_.options.spot.reclaim_rate_per_hour > 0.0) draw_spot_reclaim(booting);
+bool JobExecution::fault_hits(const SlaveNode* node) const {
+  return !ctx_.recorder.finished && node->alive() && !is_held(node);
+}
+
+bool JobExecution::lease_held(std::optional<cluster::ClusterId> lost_site) {
+  // A replacement must be on the lost node's site: it pulls the lost node's
+  // re-pooled chunks from that site's master. Lease order is fixed (build
+  // order) for determinism.
+  auto it = std::find_if(held_.begin() + static_cast<std::ptrdiff_t>(held_cursor_),
+                         held_.end(), [lost_site](const SlaveNode* node) {
+                           return node && node->alive() &&
+                                  (!lost_site || node->site() == *lost_site);
+                         });
+  if (it == held_.end()) return false;
+  SlaveNode* node = *it;
+  *it = nullptr;
+  while (held_cursor_ < held_.size() && !held_[held_cursor_]) ++held_cursor_;
+
+  const RunOptions& options = ctx_.options;
+  const double boot_seconds = options.elastic.enabled ? options.elastic.boot_seconds
+                                                      : options.migration.boot_seconds;
+  // The leased node bills from the moment it comes up.
+  ctx_.recorder.cloud_instance_starts.push_back(ctx_.now_seconds() - ctx_.job_start_seconds +
+                                                boot_seconds);
+  ctx_.recorder.cloud_instance_nodes.push_back(node->endpoint());
+  if (lost_site) {
+    ++ctx_.recorder.lifecycle.replacements_leased;
+    boot(node, boot_seconds, trace::EventKind::JobMigrated, node->name(), *lost_site);
+  } else {
+    ++ctx_.recorder.elastic_activations;
+    boot(node, boot_seconds, trace::EventKind::InstanceActivated, "node", 0);
+  }
+  // A leased node is itself a spot instance: give it its own reclaim draw,
+  // measured from the lease.
+  if (options.spot.reclaim_rate_per_hour > 0.0) draw_spot_reclaim(node);
   return true;
 }
 
+void JobExecution::boot(SlaveNode* node, double boot_seconds, trace::EventKind kind,
+                        std::string actor, std::uint64_t a) {
+  MasterNode* master = master_of(node->site());
+  // Booting: no push target yet, but counted as capacity that will pull.
+  master->mark_leased(node->endpoint());
+  platform_.sim().schedule(
+      des::from_seconds(boot_seconds),
+      [this, node, master, kind, actor = std::move(actor), a] {
+        master->mark_booted(node->endpoint());
+        if (ctx_.recorder.finished || !node->alive()) return;
+        ctx_.trace(kind, actor, a, 0);
+        node->start();
+      });
+}
+
 void JobExecution::setup_elastic() {
-  // Cloud slaves beyond the initial allocation start dormant; the controller
-  // watches progress and boots them when the deadline is at risk.
+  // The controller watches progress and leases held nodes when the deadline
+  // is at risk.
   const RunOptions& options = ctx_.options;
-  for (auto& slave : slaves_) initial_active_.push_back(slave.get());
-  if (!options.elastic.enabled) {
-    // Bill the cloud nodes this job was actually built with (== every cloud
-    // node unless a directory or pool plan filtered the membership).
-    for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-      if (!platform_.is_cloud(site)) continue;
-      for (const auto& node : site_nodes_[site]) {
-        ctx_.recorder.cloud_instance_starts.push_back(0.0);
-        ctx_.recorder.cloud_instance_nodes.push_back(node.endpoint);
-      }
-    }
-    return;
-  }
-
-  initial_active_.clear();
-  std::set<net::EndpointId> cloud_eps;
-  for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
-    if (!platform_.is_cloud(site)) continue;
-    for (const auto& node : site_nodes_[site]) cloud_eps.insert(node.endpoint);
-  }
-  std::uint32_t cloud_seen = 0;
-  for (auto& slave : slaves_) {
-    const bool is_cloud = cloud_eps.count(slave->endpoint()) > 0;
-    if (is_cloud && cloud_seen++ >= options.elastic.initial_cloud_nodes) {
-      dormant_.push_back(slave.get());
-    } else {
-      initial_active_.push_back(slave.get());
-      if (is_cloud) {
-        ctx_.recorder.cloud_instance_starts.push_back(0.0);
-        ctx_.recorder.cloud_instance_nodes.push_back(slave->endpoint());
-      }
-    }
-  }
-
+  if (!options.elastic.enabled || held_.empty()) return;
   const auto total_chunks = ctx_.layout.chunks().size();
-  auto next_dormant = std::make_shared<std::size_t>(0);
   // Each pending check event owns the controller; the controller reaches
   // itself only weakly, so it is freed with the last event.
   auto controller = std::make_shared<std::function<void()>>();
-  *controller = [this, next_dormant, self = std::weak_ptr(controller), total_chunks] {
+  *controller = [this, self = std::weak_ptr(controller), total_chunks] {
     const RunOptions& opts = ctx_.options;
     if (ctx_.recorder.finished) return;  // run over: stop rescheduling
     const double now = ctx_.now_seconds();
@@ -1097,7 +1054,7 @@ void JobExecution::setup_elastic() {
     const double elapsed = now - start_time_;
     std::size_t done = 0;
     for (const auto& n : ctx_.recorder.nodes) done += n.jobs;
-    if (done < total_chunks && *next_dormant < dormant_.size()) {
+    if (done < total_chunks) {
       // Projected completion at the current throughput. Before the first
       // job lands the projection is unknown: scale only once the deadline
       // itself has already slipped.
@@ -1106,22 +1063,11 @@ void JobExecution::setup_elastic() {
       const bool misses_deadline =
           rate > 0.0 ? elapsed + remaining / rate > opts.elastic.deadline_seconds
                      : elapsed > opts.elastic.deadline_seconds;
-      if (misses_deadline) {
-        for (std::uint32_t k = 0;
-             k < opts.elastic.activation_step && *next_dormant < dormant_.size(); ++k) {
-          SlaveNode* booting = dormant_[(*next_dormant)++];
-          const double up_at = elapsed + opts.elastic.boot_seconds;
-          ctx_.recorder.cloud_instance_starts.push_back(up_at);
-          ctx_.recorder.cloud_instance_nodes.push_back(booting->endpoint());
-          ++ctx_.recorder.elastic_activations;
-          ctx_.sim().schedule(des::from_seconds(opts.elastic.boot_seconds),
-                              [this, booting] {
-                                ctx_.trace(trace::EventKind::InstanceActivated, "node");
-                                booting->start();
-                              });
-        }
+      for (std::uint32_t k = 0; misses_deadline && k < opts.elastic.activation_step; ++k) {
+        if (!lease_held(std::nullopt)) break;
       }
     }
+    if (held_cursor_ == held_.size()) return;  // nothing left to lease
     ctx_.sim().schedule(des::from_seconds(opts.elastic.check_interval_seconds),
                         [controller = self.lock()] { (*controller)(); });
   };
@@ -1142,7 +1088,7 @@ RunResult JobExecution::collect(bool use_platform_store_stats) {
   // every in-flight transfer has drained.
   for (cluster::ClusterId site = 0; site < ctx_.prefetchers.size(); ++site) {
     if (ctx_.prefetchers[site]) {
-      ctx_.recorder.prefetch_wasted[site] +=
+      ctx_.recorder.clusters[site].prefetch_wasted +=
           static_cast<std::uint32_t>(ctx_.prefetchers[site]->finish());
     }
   }
@@ -1190,7 +1136,7 @@ RunResult JobExecution::collect(bool use_platform_store_stats) {
           result.store_requests[s] * std::max(1u, ctx_.options.retrieval_streams);
     }
   }
-  result.clusters.resize(platform_.cluster_count());
+  result.clusters = ctx_.recorder.clusters;
   for (cluster::ClusterId site = 0; site < platform_.cluster_count(); ++site) {
     result.clusters[site].name = platform_.site_name(site);
   }
@@ -1211,23 +1157,6 @@ RunResult JobExecution::collect(bool use_platform_store_stats) {
       c.retrieval /= c.nodes;
       c.sync /= c.nodes;
     }
-  }
-  for (std::size_t site = 0; site < result.clusters.size(); ++site) {
-    auto& c = result.clusters[site];
-    c.jobs_local = ctx_.recorder.jobs_local[site];
-    c.jobs_stolen = ctx_.recorder.jobs_stolen[site];
-    c.bytes_local = ctx_.recorder.bytes_local[site];
-    c.bytes_stolen = ctx_.recorder.bytes_stolen[site];
-    c.cache_hits = ctx_.recorder.cache_hits[site];
-    c.cache_misses = ctx_.recorder.cache_misses[site];
-    c.prefetch_issued = ctx_.recorder.prefetch_issued[site];
-    c.prefetch_wasted = ctx_.recorder.prefetch_wasted[site];
-    c.qos_throttled = ctx_.recorder.qos_throttled[site];
-    c.qos_wait_seconds = ctx_.recorder.qos_wait_seconds[site];
-    c.store_faults = ctx_.recorder.store_faults[site];
-    c.fetch_retries = ctx_.recorder.fetch_retries[site];
-    c.hedges_issued = ctx_.recorder.hedges_issued[site];
-    c.hedges_won = ctx_.recorder.hedges_won[site];
   }
 
   // Idle time: how long each cluster waited for the other to finish

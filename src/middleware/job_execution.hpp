@@ -11,7 +11,7 @@
 
 #include <functional>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,8 +58,8 @@ class JobExecution {
 
   /// Cross-job drain entry point (workload manager): begin draining the
   /// slave this job runs on `ep`. Returns false when the job has no live,
-  /// non-draining slave there (tree-mode job, already vacated, never built)
-  /// — the caller must not wait for a vacate from it.
+  /// non-draining slave there (tree-mode job, already vacated, never built,
+  /// held back) — the caller must not wait for a vacate from it.
   bool drain_node(net::EndpointId ep);
 
   /// Launch the masters and the initially-active slaves. The job then runs
@@ -91,8 +91,8 @@ class JobExecution {
   /// Subscribe to the directory's change feed (store retirement marks the
   /// store's replicas lost so the repair actor re-replicates).
   void setup_directory();
-  /// Elastic-pool leases: booting nodes start once warm; per-job instance
-  /// billing is dropped (the pool's lease windows are the billing record).
+  /// Elastic-pool leases: a lease still booting starts once warm (per-job
+  /// instance billing is off; the pool's lease windows are the record).
   void setup_pool();
   /// Attach the StoreQos (if any): bind store capacities, resolve this run's
   /// tenant id, and apply per-tenant cache shares to the fleet.
@@ -104,10 +104,15 @@ class JobExecution {
   void build_prefetchers();
   void build_actors(const MailboxRegistrar& register_mailbox);
   void apply_static_assignment();
+  /// Fill the held-back list (elastic: the cloud slaves beyond
+  /// initial_cloud_nodes; migration: the last standby_nodes cloud slaves),
+  /// mark each dormant at its master, launch everyone else at start(), bill
+  /// the cloud slaves among them from 0 (unless pooled), and install the
+  /// on_node_lost hook that leases a same-site held node.
+  void hold_back();
+  /// Elastic deadline controller: leases held nodes while the projected
+  /// completion misses the deadline; retires once nothing is held back.
   void setup_elastic();
-  /// Checkpointed migration: hold back standby cloud slaves and install the
-  /// on_node_lost hook that leases them.
-  void setup_migration();
   /// Schedule RunOptions::lifecycle events (a target this job did not build
   /// is a logic_error) plus the stochastic spot-reclaim draws (one per
   /// rented cloud node).
@@ -133,10 +138,25 @@ class JobExecution {
   void schedule_node_fault(chaos::ChaosEvent::Kind kind, SlaveNode* victim,
                            double at_seconds, double notice_seconds);
   /// One exponential spot-reclaim draw for `node` from the next substream
-  /// (a dormant standby consumes its stream but is not scheduled).
+  /// (a held node consumes its stream but is not scheduled).
   void draw_spot_reclaim(SlaveNode* node);
-  /// Lease the next same-site standby for a lost node; false when none left.
-  bool lease_replacement(cluster::ClusterId site);
+  /// A held node has not been rented yet (it is neither billed nor started).
+  bool is_held(const SlaveNode* node) const;
+  /// The one node-fault guard (crash, drain notice, reclaim kill, cross-job
+  /// drain): a fault misses a node once the run finished, a node that is
+  /// already dead (vacated, killed by an outage), and a held node — an
+  /// instance that was never rented cannot fail.
+  bool fault_hits(const SlaveNode* node) const;
+  /// Lease the first live held node — any site for the elastic controller,
+  /// `lost_site` for a replacement of a lost node — bill it from the end of
+  /// its boot and boot it. False when none is left.
+  bool lease_held(std::optional<cluster::ClusterId> lost_site);
+  /// The one boot path (held leases, booting pool leases): the master counts
+  /// `node` as booting capacity now; `boot_seconds` later it is a push target
+  /// and, unless the run finished or the node died meanwhile, it traces
+  /// (`kind`, `actor`, `a`) and starts.
+  void boot(SlaveNode* node, double boot_seconds, trace::EventKind kind, std::string actor,
+            std::uint64_t a);
   SlaveNode* slave_by_endpoint(net::EndpointId ep);
   /// This job's slave on platform node `node_index` of `site` (null when the
   /// job did not build one).
@@ -161,22 +181,12 @@ class JobExecution {
   /// True when this execution's attach() built the set — that job (and only
   /// that job, under a shared workload set) bills the replica storage.
   bool replication_built_here_ = false;
-  /// Elastic mode: cloud slaves beyond the initial allocation, boot order.
-  std::vector<SlaveNode*> dormant_;
-  /// Slaves start() launches (everyone, minus dormant ones).
+  /// Held-back cloud slaves in lease order; a leased entry is nulled and
+  /// `held_cursor_` is the first entry not yet leased.
+  std::vector<SlaveNode*> held_;
+  std::size_t held_cursor_ = 0;
+  /// Slaves start() launches (everyone, minus held and booting ones).
   std::vector<SlaveNode*> initial_active_;
-
-  // --- checkpointed migration ----------------------------------------------
-  struct Standby {
-    SlaveNode* slave;
-    cluster::ClusterId site;
-    std::string name;
-  };
-  std::vector<Standby> standby_;   ///< lease order (tail of cloud build order)
-  std::size_t next_standby_ = 0;
-  /// Endpoints of standbys not yet leased: unbilled, immune to lifecycle
-  /// events (an instance that was never rented cannot crash or be reclaimed).
-  std::set<net::EndpointId> dormant_standby_;
   /// Next Rng substream id for stochastic spot draws (initial nodes first,
   /// then one fresh draw per leased replacement).
   std::uint64_t spot_streams_used_ = 0;

@@ -466,12 +466,13 @@ storage::StoreId MasterNode::assigned_store(storage::ChunkId chunk) const {
 
 void MasterNode::account_assignment(storage::ChunkId chunk, storage::StoreId from) {
   const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
+  ClusterResult& c = ctx_.recorder.clusters[site_];
   if (from == preferred_store_) {
-    ++ctx_.recorder.jobs_local[site_];
-    ctx_.recorder.bytes_local[site_] += info.bytes;
+    ++c.jobs_local;
+    c.bytes_local += info.bytes;
   } else {
-    ++ctx_.recorder.jobs_stolen[site_];
-    ctx_.recorder.bytes_stolen[site_] += info.bytes;
+    ++c.jobs_stolen;
+    c.bytes_stolen += info.bytes;
   }
   ctx_.recorder.bytes_from_store[site_][from] += info.bytes;
 }
@@ -479,12 +480,13 @@ void MasterNode::account_assignment(storage::ChunkId chunk, storage::StoreId fro
 void MasterNode::account_return(storage::ChunkId chunk) {
   const storage::ChunkInfo& info = ctx_.layout.chunk(chunk);
   const storage::StoreId from = assigned_store(chunk);
+  ClusterResult& c = ctx_.recorder.clusters[site_];
   if (from == preferred_store_) {
-    --ctx_.recorder.jobs_local[site_];
-    ctx_.recorder.bytes_local[site_] -= info.bytes;
+    --c.jobs_local;
+    c.bytes_local -= info.bytes;
   } else {
-    --ctx_.recorder.jobs_stolen[site_];
-    ctx_.recorder.bytes_stolen[site_] -= info.bytes;
+    --c.jobs_stolen;
+    c.bytes_stolen -= info.bytes;
   }
   ctx_.recorder.bytes_from_store[site_][from] -= info.bytes;
 }

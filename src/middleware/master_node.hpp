@@ -58,11 +58,13 @@ class MasterNode {
 
   std::uint32_t vacated_slaves() const { return vacated_slaves_; }
 
-  /// Migration standbys are wired into the cluster but stay dormant (unbilled,
-  /// never started) until leased: the master must not push work at them or
-  /// count them as live capacity. A leased standby is "booting" until its
-  /// boot delay elapses — still no push target, but it counts as capacity
-  /// that will pull re-pooled work, so the cluster is not written off.
+  /// Held-back nodes (elastic nodes beyond the initial allocation, migration
+  /// standbys) are wired into the cluster but stay dormant (unbilled, never
+  /// started) until leased: the master must not push work at them or count
+  /// them as live capacity. A leased node — or a pool lease still booting —
+  /// is "booting" until its boot delay elapses: still no push target, but it
+  /// counts as capacity that will pull re-pooled work, so the cluster is not
+  /// written off. JobExecution::boot is the only caller of the last two.
   void mark_dormant(net::EndpointId slave) { dormant_.insert(slave); }
   void mark_leased(net::EndpointId slave) {
     dormant_.erase(slave);
@@ -138,7 +140,7 @@ class MasterNode {
   /// Slaves known to be draining (they bounced a chunk or vacated): excluded
   /// from push-assignment so returned work converges on running nodes.
   std::set<net::EndpointId> draining_slaves_;
-  /// Dormant migration standbys: present in slaves_ but not running.
+  /// Dormant held-back nodes: present in slaves_ but not running.
   std::set<net::EndpointId> dormant_;
   /// Leased replacements waiting out their boot delay.
   std::set<net::EndpointId> booting_;

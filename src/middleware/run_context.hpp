@@ -117,14 +117,15 @@ struct RunOptions {
 
   /// Node-lifecycle event: how a node leaves the run. `Crash` gives no
   /// notice: the node goes silent at `at_seconds`, its master notices after
-  /// `failure_detection_seconds` and re-executes the un-checkpointed work
-  /// (the only kind that composes with `elastic`). `Drain` is an operator
-  /// notice (maintenance): the slave stops claiming pool chunks, finishes
-  /// what it holds, flushes a final delta-robj checkpoint, and vacates —
-  /// zero completed work is lost. `SpotReclaim` is a drain with a hard
-  /// deadline: `notice_seconds` after the notice the node is killed whether
-  /// or not it vacated (EC2 spot semantics), and its billing stops at that
-  /// instant.
+  /// `failure_detection_seconds` and re-executes the un-checkpointed work.
+  /// `Drain` is an operator notice (maintenance): the slave stops claiming
+  /// pool chunks, finishes what it holds, flushes a final delta-robj
+  /// checkpoint, and vacates — zero completed work is lost. `SpotReclaim` is
+  /// a drain with a hard deadline: `notice_seconds` after the notice the node
+  /// is killed whether or not it vacated (EC2 spot semantics), and its
+  /// billing stops at that instant. Every kind composes with `elastic` (the
+  /// lost node's replacement is leased from the held-back nodes) and misses
+  /// a held-back node (an elastic node not yet leased, a migration standby).
   struct LifecycleEvent {
     enum class Kind : std::uint8_t { Crash, Drain, SpotReclaim };
     Kind kind = Kind::Crash;
@@ -148,13 +149,13 @@ struct RunOptions {
   SpotPolicy spot;
 
   /// Checkpointed migration: hold back the last `standby_nodes` cloud slaves
-  /// as unbilled standbys; when a node is lost (crash, drain, reclaim) with
-  /// work remaining, lease one as a replacement — it boots for
-  /// `boot_seconds`, bills from the lease, and pulls the lost node's
-  /// re-pooled chunks (the checkpointed robj state already lives at the
-  /// master, so nothing else moves). Requires reduction_tree = false;
-  /// mutually exclusive with elastic bursting (one controller owns the
-  /// dormant pool).
+  /// (unbilled, never started, missed by node faults); when a node is lost
+  /// (crash, drain, reclaim) with work remaining, lease a same-site one as a
+  /// replacement — it boots for `boot_seconds`, bills from the end of its
+  /// boot, and pulls the lost node's re-pooled chunks (the checkpointed robj
+  /// state already lives at the master, so nothing else moves). Requires
+  /// reduction_tree = false; mutually exclusive with elastic bursting, which
+  /// holds back a different set of nodes through the same held-back path.
   struct MigrationPolicy {
     std::uint32_t standby_nodes = 0;  ///< 0 = no migration
     double boot_seconds = 60.0;
@@ -162,12 +163,15 @@ struct RunOptions {
   MigrationPolicy migration;
 
   /// Elastic bursting (Elastic Site-style, from the paper's related work):
-  /// start with `initial_cloud_nodes` cloud instances; a controller checks
-  /// progress every `check_interval_seconds` and, when the projected
-  /// completion misses `deadline_seconds`, boots `activation_step` more
-  /// dormant instances (each taking `boot_seconds` to come up). Requires
-  /// reduction_tree = false (dormant instances answer the commit with
-  /// identity robjs) and initial_cloud_nodes >= 1.
+  /// start with `initial_cloud_nodes` cloud instances and hold back the rest;
+  /// a controller checks progress every `check_interval_seconds` and, when
+  /// the projected completion misses `deadline_seconds`, leases
+  /// `activation_step` more held instances (each taking `boot_seconds` to
+  /// come up, billed from then). A node lost to a crash, drain or reclaim
+  /// gets a same-site replacement from the held instances, like a migration
+  /// standby. Requires reduction_tree = false (held instances answer the
+  /// commit with identity robjs) and initial_cloud_nodes >= 1; excludes
+  /// `spot` and `migration`.
   struct ElasticPolicy {
     bool enabled = false;
     double deadline_seconds = 0.0;
@@ -219,8 +223,9 @@ struct RunOptions {
 
   /// Elastic node pool lease plan (workload-manager internal). When enabled,
   /// the job's cloud-side membership is exactly these leased nodes: a lease
-  /// still booting (ready_in_seconds > 0) starts processing once warm, and
-  /// instance billing moves from the job to the pool's lease windows.
+  /// still booting (ready_in_seconds > 0) starts processing once warm, on
+  /// the same boot path as a leased held-back node, and instance billing
+  /// moves from the job to the pool's lease windows.
   /// Requires reduction_tree = false; mutually exclusive with per-job
   /// elastic / migration / lifecycle / spot machinery (the pool owns node
   /// lifetime).
@@ -264,31 +269,16 @@ struct RunRecorder {
   std::uint32_t elastic_activations = 0;
   /// Node-lifecycle accounting (drains, reclaims, checkpoints, migrations).
   LifecycleStats lifecycle;
-  // Per-cluster accounting, indexed by ClusterId; sized by init().
-  std::vector<std::uint32_t> jobs_local;
-  std::vector<std::uint32_t> jobs_stolen;
-  std::vector<std::uint64_t> bytes_local;
-  std::vector<std::uint64_t> bytes_stolen;
+  /// Per-cluster counters (jobs_local … hedges_won), indexed by ClusterId
+  /// and sized by init(); collect() copies them into RunResult::clusters,
+  /// which fills in the name and the time decomposition.
+  std::vector<ClusterResult> clusters;
   /// Bytes cluster c fetched from store s: bytes_from_store[c][s].
   std::vector<std::vector<std::uint64_t>> bytes_from_store;
   /// Bytes cluster c served from its site cache that bytes_from_store
   /// already charged to store s at assignment time (the cost model credits
   /// these back so only physically transferred bytes are billed as egress).
   std::vector<std::vector<std::uint64_t>> bytes_from_cache;
-  // Cache / prefetch accounting, per cluster.
-  std::vector<std::uint32_t> cache_hits;
-  std::vector<std::uint32_t> cache_misses;
-  std::vector<std::uint32_t> prefetch_issued;
-  std::vector<std::uint32_t> prefetch_wasted;
-  // Store QoS accounting, per cluster (throttled releases and the waits
-  // they paid; zero unless RunOptions::qos is attached).
-  std::vector<std::uint32_t> qos_throttled;
-  std::vector<double> qos_wait_seconds;
-  // Fault / retry accounting, per cluster.
-  std::vector<std::uint32_t> store_faults;    ///< failed or timed-out attempts
-  std::vector<std::uint32_t> fetch_retries;   ///< backoffs taken before re-attempts
-  std::vector<std::uint32_t> hedges_issued;
-  std::vector<std::uint32_t> hedges_won;
   /// Wire bytes cluster c moved from store s that were NOT the delivered
   /// copy (failed partial GETs, hedge losers, post-timeout arrivals). They
   /// crossed the WAN, so the cost model bills them as egress on top of
@@ -307,25 +297,12 @@ struct RunRecorder {
   bool finished = false;
 
   /// Size the per-cluster / per-store vectors for a platform.
-  void init(std::size_t clusters, std::size_t stores) {
-    jobs_local.assign(clusters, 0);
-    jobs_stolen.assign(clusters, 0);
-    bytes_local.assign(clusters, 0);
-    bytes_stolen.assign(clusters, 0);
-    bytes_from_store.assign(clusters, std::vector<std::uint64_t>(stores, 0));
-    bytes_from_cache.assign(clusters, std::vector<std::uint64_t>(stores, 0));
-    cache_hits.assign(clusters, 0);
-    cache_misses.assign(clusters, 0);
-    prefetch_issued.assign(clusters, 0);
-    prefetch_wasted.assign(clusters, 0);
-    qos_throttled.assign(clusters, 0);
-    qos_wait_seconds.assign(clusters, 0.0);
-    store_faults.assign(clusters, 0);
-    fetch_retries.assign(clusters, 0);
-    hedges_issued.assign(clusters, 0);
-    hedges_won.assign(clusters, 0);
-    bytes_retried.assign(clusters, std::vector<std::uint64_t>(stores, 0));
-    store_fetch_requests.assign(clusters, std::vector<std::uint64_t>(stores, 0));
+  void init(std::size_t cluster_count, std::size_t stores) {
+    clusters.assign(cluster_count, ClusterResult{});
+    bytes_from_store.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
+    bytes_from_cache.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
+    bytes_retried.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
+    store_fetch_requests.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
   }
 
   /// Stop billing `node`'s open rental at `at_seconds` (job-relative). Lazily
@@ -407,8 +384,8 @@ struct RunContext {
                         [this, site, store, actor, chunk,
                          launch = std::move(launch)](double waited_seconds) {
                           if (waited_seconds > 0.0) {
-                            ++recorder.qos_throttled[site];
-                            recorder.qos_wait_seconds[site] += waited_seconds;
+                            ++recorder.clusters[site].qos_throttled;
+                            recorder.clusters[site].qos_wait_seconds += waited_seconds;
                             trace(trace::EventKind::QosThrottled, actor, chunk, store);
                           }
                           launch();
@@ -419,7 +396,8 @@ struct RunContext {
   /// while the cluster still has work. Returns true if a replacement node
   /// was leased — the master then re-pools the lost chunks so the booting
   /// replacement (and idle survivors) pull them, instead of push-assigning
-  /// everything to survivors immediately. Null when migration is off.
+  /// everything to survivors immediately. Null when nothing is held back
+  /// (neither migration standbys nor elastic nodes).
   std::function<bool(cluster::ClusterId)> on_node_lost;
 
   /// Fired by a slave the moment it vacates (drain settled, final delta-robj
@@ -486,19 +464,19 @@ struct RunContext {
       ++recorder.store_fetch_requests[site][store];
     };
     h.on_fault = [this, site, actor, chunk](unsigned attempt, const storage::FetchResult&) {
-      ++recorder.store_faults[site];
+      ++recorder.clusters[site].store_faults;
       trace(trace::EventKind::StoreFault, actor, chunk, attempt);
     };
     h.on_backoff = [this, site, actor, chunk](unsigned next_attempt, double) {
-      ++recorder.fetch_retries[site];
+      ++recorder.clusters[site].fetch_retries;
       trace(trace::EventKind::RetryBackoff, actor, chunk, next_attempt);
     };
     h.on_hedge = [this, site, actor, chunk](unsigned attempt) {
-      ++recorder.hedges_issued[site];
+      ++recorder.clusters[site].hedges_issued;
       trace(trace::EventKind::HedgeIssued, actor, chunk, attempt);
     };
     h.on_hedge_win = [this, site, actor, chunk](unsigned attempt) {
-      ++recorder.hedges_won[site];
+      ++recorder.clusters[site].hedges_won;
       trace(trace::EventKind::HedgeWon, actor, chunk, attempt);
     };
     h.on_wasted = [this, site, store](std::uint64_t bytes) {

@@ -143,69 +143,36 @@ struct RunResult {
 
   const ClusterResult& side(cluster::ClusterId s) const { return clusters.at(s); }
 
-  std::uint32_t total_jobs() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.jobs_local + c.jobs_stolen;
+  /// Sum of one per-cluster counter over every site.
+  template <typename T>
+  T cluster_total(T ClusterResult::*field) const {
+    T n{};
+    for (const auto& c : clusters) n += c.*field;
     return n;
   }
 
-  std::uint32_t cache_hits() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.cache_hits;
-    return n;
+  std::uint32_t total_jobs() const {
+    return cluster_total(&ClusterResult::jobs_local) +
+           cluster_total(&ClusterResult::jobs_stolen);
   }
-  std::uint32_t cache_misses() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.cache_misses;
-    return n;
-  }
-  std::uint32_t prefetch_issued() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.prefetch_issued;
-    return n;
-  }
-  std::uint32_t prefetch_wasted() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.prefetch_wasted;
-    return n;
-  }
+
+  std::uint32_t cache_hits() const { return cluster_total(&ClusterResult::cache_hits); }
+  std::uint32_t cache_misses() const { return cluster_total(&ClusterResult::cache_misses); }
+  std::uint32_t prefetch_issued() const { return cluster_total(&ClusterResult::prefetch_issued); }
+  std::uint32_t prefetch_wasted() const { return cluster_total(&ClusterResult::prefetch_wasted); }
   /// Fraction of fetches the site caches served; 0 when no cache ran.
   double cache_hit_rate() const {
     const double total = static_cast<double>(cache_hits()) + cache_misses();
     return total > 0.0 ? static_cast<double>(cache_hits()) / total : 0.0;
   }
 
-  std::uint32_t qos_throttled() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.qos_throttled;
-    return n;
-  }
-  double qos_wait_seconds() const {
-    double n = 0.0;
-    for (const auto& c : clusters) n += c.qos_wait_seconds;
-    return n;
-  }
+  std::uint32_t qos_throttled() const { return cluster_total(&ClusterResult::qos_throttled); }
+  double qos_wait_seconds() const { return cluster_total(&ClusterResult::qos_wait_seconds); }
 
-  std::uint32_t store_faults() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.store_faults;
-    return n;
-  }
-  std::uint32_t fetch_retries() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.fetch_retries;
-    return n;
-  }
-  std::uint32_t hedges_issued() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.hedges_issued;
-    return n;
-  }
-  std::uint32_t hedges_won() const {
-    std::uint32_t n = 0;
-    for (const auto& c : clusters) n += c.hedges_won;
-    return n;
-  }
+  std::uint32_t store_faults() const { return cluster_total(&ClusterResult::store_faults); }
+  std::uint32_t fetch_retries() const { return cluster_total(&ClusterResult::fetch_retries); }
+  std::uint32_t hedges_issued() const { return cluster_total(&ClusterResult::hedges_issued); }
+  std::uint32_t hedges_won() const { return cluster_total(&ClusterResult::hedges_won); }
   /// Total wasted wire bytes across all cluster/store pairs.
   std::uint64_t bytes_retried_total() const {
     std::uint64_t n = 0;

@@ -120,16 +120,17 @@ void SlaveNode::reassign_store(storage::ChunkId chunk, storage::StoreId from,
   const bool was_local = from == preferred;
   const bool is_local = to == preferred;
   if (was_local == is_local) return;
+  ClusterResult& c = rec.clusters[node_.cluster];
   if (is_local) {
-    ++rec.jobs_local[node_.cluster];
-    rec.bytes_local[node_.cluster] += info.bytes;
-    --rec.jobs_stolen[node_.cluster];
-    rec.bytes_stolen[node_.cluster] -= info.bytes;
+    ++c.jobs_local;
+    c.bytes_local += info.bytes;
+    --c.jobs_stolen;
+    c.bytes_stolen -= info.bytes;
   } else {
-    --rec.jobs_local[node_.cluster];
-    rec.bytes_local[node_.cluster] -= info.bytes;
-    ++rec.jobs_stolen[node_.cluster];
-    rec.bytes_stolen[node_.cluster] += info.bytes;
+    --c.jobs_local;
+    c.bytes_local -= info.bytes;
+    ++c.jobs_stolen;
+    c.bytes_stolen += info.bytes;
   }
 }
 
@@ -148,7 +149,7 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
       // Hit: the bytes are on the site's scratch disk — pay the local read
       // model, skip the store entirely (no GET, no WAN flow), and credit the
       // egress bytes the master charged at assignment.
-      ++ctx_.recorder.cache_hits[node_.cluster];
+      ++ctx_.recorder.clusters[node_.cluster].cache_hits;
       ctx_.recorder.bytes_from_cache[node_.cluster][store_id] += full_bytes;
       ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, info.bytes);
       if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
@@ -180,7 +181,7 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
                        begin_fetch(chunk);
                        return;
                      }
-                     ++ctx_.recorder.cache_hits[node_.cluster];
+                     ++ctx_.recorder.clusters[node_.cluster].cache_hits;
                      ctx_.recorder.bytes_from_cache[node_.cluster][store_id] += full_bytes;
                      ctx_.trace(trace::EventKind::CacheHit, node_.name, chunk, wire_bytes);
                      if (ctx_.options.qos) ctx_.options.qos->note_cache_hit(ctx_.qos_tenant);
@@ -194,7 +195,7 @@ void SlaveNode::begin_fetch(storage::ChunkId chunk) {
       return;
     }
     // Miss: fetch from the store and admit the chunk on arrival.
-    ++ctx_.recorder.cache_misses[node_.cluster];
+    ++ctx_.recorder.clusters[node_.cluster].cache_misses;
     ctx_.trace(trace::EventKind::CacheMiss, node_.name, chunk, store_id);
     if (ctx_.options.qos) ctx_.options.qos->note_cache_miss(ctx_.qos_tenant);
     fetch_from_store(chunk, info, store_id, cache, info.bytes);
@@ -277,7 +278,7 @@ void SlaveNode::on_fetch_failed(storage::ChunkId chunk) {
     delay *= rng.uniform(std::max(0.0, 1.0 - p.jitter_fraction),
                          1.0 + p.jitter_fraction);
   }
-  ++ctx_.recorder.fetch_retries[node_.cluster];
+  ++ctx_.recorder.clusters[node_.cluster].fetch_retries;
   ctx_.trace(trace::EventKind::RetryBackoff, node_.name, chunk, p.max_attempts + 1);
   ctx_.sim().schedule(des::from_seconds(delay), [this, chunk] {
     if (alive_) begin_fetch(chunk);

@@ -3,11 +3,15 @@
 // execution with mid-run scale-out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "apps/datagen.hpp"
 #include "apps/wordcount.hpp"
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
 #include "middleware/runtime.hpp"
+#include "trace/trace.hpp"
 
 namespace cloudburst::middleware {
 namespace {
@@ -152,6 +156,74 @@ TEST(Elastic, RealExecutionStaysCorrectUnderScaleOut) {
   const auto& got = dynamic_cast<const api::HashCountRobj&>(*result.robj);
   ASSERT_EQ(got.distinct_keys(), ref.size());
   for (const auto& [k, v] : ref) EXPECT_DOUBLE_EQ(got.get(k), v);
+}
+
+/// Whether the rig's cloud node `name` appears among the billed instances
+/// (node names and endpoints are deterministic for a platform spec).
+bool billed(const RunResult& result, const std::string& name) {
+  Platform platform(PlatformSpec::paper_testbed(8, 16));
+  for (const auto& node : platform.nodes(kCloudSite)) {
+    if (node.name != name) continue;
+    return std::find(result.cloud_instance_nodes.begin(), result.cloud_instance_nodes.end(),
+                     node.endpoint) != result.cloud_instance_nodes.end();
+  }
+  return false;
+}
+
+// A crash under elastic bursting leases a billed replacement from the held
+// nodes: the lost chunks never run on an instance nobody pays for.
+TEST(ElasticFaults, CrashReplacementIsBilled) {
+  ElasticRig rig;
+  rig.options.elastic.initial_cloud_nodes = 2;
+  const auto clean = rig.run(/*deadline=*/1e6);
+  rig.options.lifecycle.push_back({RunOptions::LifecycleEvent::Kind::Crash, kCloudSite, 0,
+                                   0.5 * clean.total_time});
+  const auto crashed = rig.run(1e6);
+  EXPECT_EQ(crashed.lifecycle.nodes_crashed, 1u);
+  EXPECT_EQ(crashed.lifecycle.replacements_leased, 1u);
+  EXPECT_EQ(crashed.total_jobs(), clean.total_jobs() + crashed.lifecycle.chunks_reexecuted);
+
+  for (const auto& times : crashed.nodes) {
+    if (times.cluster == kCloudSite && times.jobs > 0) {
+      EXPECT_TRUE(billed(crashed, times.name))
+          << times.name << " ran " << times.jobs << " chunks unbilled";
+    }
+  }
+}
+
+// A node fault on a held (never rented) node misses it: it is neither
+// counted nor traced, and the controller later boots it as a healthy node.
+TEST(ElasticFaults, CrashOnAHeldNodeIsInert) {
+  ElasticRig rig;
+  trace::Tracer tracer;
+  rig.options.tracer = &tracer;
+  rig.options.lifecycle.push_back(
+      {RunOptions::LifecycleEvent::Kind::Crash, kCloudSite, 7, 1.0});
+  const auto result = rig.run(/*deadline=*/60.0);
+  EXPECT_EQ(result.lifecycle.nodes_crashed, 0u);
+  EXPECT_EQ(tracer.count(trace::EventKind::SlaveFailed), 0u);
+  EXPECT_GT(result.elastic_activations, 0u);
+  for (const auto& times : result.nodes) {
+    if (times.cluster == kCloudSite && times.jobs == 0) {
+      EXPECT_FALSE(billed(result, times.name)) << times.name << " billed but ran no chunk";
+    }
+  }
+}
+
+// A boot that lands after the run ended starts nothing and traces nothing
+// (the instance is still billed: it was leased while the run was behind).
+TEST(Elastic, BootAfterTheRunEndsIsInert) {
+  ElasticRig rig;
+  trace::Tracer tracer;
+  rig.options.tracer = &tracer;
+  rig.options.elastic.boot_seconds = 1000.0;  // every boot outlasts the run
+  const auto result = rig.run(1.0);  // impossible deadline: scale hard
+  std::uint32_t late = 0;
+  for (double start : result.cloud_instance_starts) late += start > result.total_time;
+  ASSERT_GT(late, 0u);
+  EXPECT_EQ(tracer.count(trace::EventKind::InstanceActivated),
+            result.elastic_activations - late);
+  for (const auto& ev : tracer.events()) EXPECT_LE(ev.t, result.total_time);
 }
 
 TEST(Elastic, RejectsInvalidConfigs) {

@@ -322,6 +322,45 @@ INSTANTIATE_TEST_SUITE_P(
                                    "SpotReclaim"}),
     [](const ::testing::TestParamInfo<FrontEndCase>& info) { return info.param.name; });
 
+// Under elastic bursting a drain is accepted from both front ends, and the
+// drained cloud node's work moves to a replacement leased from the held
+// nodes.
+TEST(ElasticNodeFaultFrontEnds, DrainLeasesAReplacement) {
+  LifecycleRig rig;
+  RunOptions elastic = rig.options();
+  elastic.elastic.enabled = true;
+  elastic.elastic.deadline_seconds = 1e6;  // the controller never scales out
+  elastic.elastic.initial_cloud_nodes = 2;
+  elastic.elastic.boot_seconds = 5.0;
+  const auto clean = rig.run(elastic, 12);
+  const double at = 0.5 * clean.total_time;
+
+  RunOptions via_lifecycle = elastic;
+  via_lifecycle.lifecycle.push_back(event(Kind::Drain, kCloudSite, 0, at));
+
+  chaos::ChaosPlan plan;
+  chaos::ChaosEvent drain;
+  drain.kind = chaos::ChaosEvent::Kind::NodeDrain;
+  drain.site_a = kCloudSite;
+  drain.node_index = 0;
+  drain.at_seconds = at;
+  plan.events.push_back(drain);
+  RunOptions via_chaos = elastic;
+  via_chaos.chaos = &plan;
+
+  const auto a = rig.run(via_lifecycle, 12);
+  const auto b = rig.run(via_chaos, 12);
+  rig.expect_correct(a);
+  rig.expect_correct(b);
+  EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
+  EXPECT_EQ(a.total_jobs(), b.total_jobs());
+  expect_same_stats(a.lifecycle, b.lifecycle);
+  EXPECT_EQ(a.lifecycle.nodes_vacated, 1u);
+  EXPECT_EQ(a.lifecycle.replacements_leased, 1u);
+  EXPECT_EQ(a.elastic_activations, 0u);
+  EXPECT_EQ(a.cloud_instance_starts.size(), 3u);  // two initial + the replacement
+}
+
 TEST(NodeFaultGuard, CrashAfterTheRunEndsIsInert) {
   LifecycleRig rig;
   const auto clean = rig.run(rig.options());
