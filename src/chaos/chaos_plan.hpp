@@ -33,11 +33,11 @@ struct ChaosEvent {
     /// Take site_a's store offline: new GETs fail fast, in-flight GETs
     /// abort, reads re-route to surviving replicas via the retry path.
     StoreOutage,
-    /// Full blackout of site_a: links cut, store offline, every node killed,
-    /// the site's master evacuated and its uncommitted work re-granted to
-    /// surviving clusters. Recovery re-registers the site's services with
-    /// the platform directory (fresh generation) for *future* work; nodes
-    /// killed mid-job stay dead for that job.
+    /// Full blackout of site_a: links cut, store offline, every rented node
+    /// crashed, the site's master evacuated and its uncommitted work
+    /// re-granted to surviving clusters. Recovery re-registers the site's
+    /// services with the platform directory (fresh generation) for *future*
+    /// work; nodes killed mid-job stay dead for that job.
     SiteOutage,
     /// Hard-kill node node_index of site_a (the per-job failure path:
     /// uncommitted work re-enters the pool after detection).

@@ -1,9 +1,9 @@
-// Chaos-plan tests: scripted WAN link faults, store outages, whole-site
-// blackouts with head-driven work re-granting, the recovery invariants the
-// ChaosAuditor enforces (exactly-once execution, honest bills, restored
-// replica coverage, deterministic replay), the chaos-off byte-identity pin,
-// seeded retry-backoff jitter determinism, and the in-flight flow teardown
-// regression for dead endpoints.
+// Chaos-plan tests: scripted WAN link faults, site partitions, store
+// outages, whole-site blackouts with head-driven work re-granting, the
+// recovery invariants the ChaosAuditor enforces (exactly-once execution,
+// honest bills, restored replica coverage, deterministic replay), the
+// chaos-off byte-identity pin, seeded retry-backoff jitter determinism, and
+// the in-flight flow teardown regression for dead endpoints.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -301,6 +301,123 @@ TEST(ChaosLinkFault, WindowStallsFlowsAndRunRecovers) {
   EXPECT_EQ(faulted_trace.count(trace::EventKind::LinkDown), 1u);
   EXPECT_EQ(faulted_trace.count(trace::EventKind::LinkRestored), 1u);
   EXPECT_GT(result.total_time, clean_time);  // the cut cost wall-clock time
+  const auto once = chaos::audit_exactly_once(rig.executions(result));
+  EXPECT_TRUE(once.ok) << once.detail;
+}
+
+// --- store outages -----------------------------------------------------------
+
+TEST(ChaosStoreOutage, WindowFailsReadsAndRunRecovers) {
+  MarkerRig rig(6, 2, 600000);
+  double clean_time = 0.0;
+  {
+    Platform platform(three_site_spec());
+    rig.spread_over(platform);
+    clean_time = middleware::run_distributed(platform, rig.layout, rig.options()).total_time;
+  }
+
+  // Take east's store dark early and keep it dark past the clean finish:
+  // GETs in flight abort, later ones fail fast, and the reads retry until
+  // the store serves again (delayed, not lost), so the makespan inflates.
+  ChaosPlan plan;
+  ChaosEvent outage;
+  outage.kind = ChaosEvent::Kind::StoreOutage;
+  outage.site_a = 1;
+  outage.at_seconds = 0.1 * clean_time;
+  outage.duration_seconds = 1.0 * clean_time;
+  plan.events.push_back(outage);
+
+  trace::Tracer faulted_trace;
+  RunOptions faulted = rig.options();
+  faulted.tracer = &faulted_trace;
+  faulted.chaos = &plan;
+  Platform platform(three_site_spec());
+  const RunResult result = middleware::run_distributed(platform, rig.layout, faulted);
+
+  EXPECT_EQ(faulted_trace.count(trace::EventKind::StoreOffline), 1u);
+  EXPECT_EQ(faulted_trace.count(trace::EventKind::StoreOnline), 1u);
+  EXPECT_GT(result.total_time, clean_time);
+  const auto once = chaos::audit_exactly_once(rig.executions(result));
+  EXPECT_TRUE(once.ok) << once.detail;
+}
+
+// A plan shared by two jobs applies each window once per job. The store
+// window traces only the store's state changes, so once in all; the link
+// window traces every application.
+TEST(ChaosStoreOutage, SharedPlanTracesEachStoreStateChangeOnce) {
+  ChaosPlan plan;
+  ChaosEvent outage;
+  outage.kind = ChaosEvent::Kind::StoreOutage;
+  outage.site_a = 1;
+  outage.at_seconds = 1.0;
+  outage.duration_seconds = 2.0;
+  plan.events.push_back(outage);
+  ChaosEvent cut;
+  cut.kind = ChaosEvent::Kind::LinkFault;
+  cut.site_a = 0;
+  cut.site_b = 1;
+  cut.factor = 0.5;
+  cut.at_seconds = 1.0;
+  cut.duration_seconds = 2.0;
+  plan.events.push_back(cut);
+
+  Platform platform(three_site_spec());
+  MarkerRig rig(6, 2, 60000);
+  rig.spread_over(platform);
+  trace::Tracer tracer;
+  workload::WorkloadOptions wopts;
+  wopts.tracer = &tracer;
+  workload::WorkloadManager manager(platform, wopts);
+  for (int i = 0; i < 2; ++i) {
+    workload::JobSpec spec;
+    spec.name = i == 0 ? "a" : "b";
+    spec.layout = rig.layout;
+    spec.options = rig.options();
+    spec.options.task = nullptr;
+    spec.options.dataset = nullptr;
+    spec.options.chaos = &plan;
+    manager.submit(std::move(spec), 0.0);
+  }
+  manager.run();
+
+  EXPECT_EQ(tracer.count(trace::EventKind::StoreOffline), 1u);
+  EXPECT_EQ(tracer.count(trace::EventKind::StoreOnline), 1u);
+  EXPECT_EQ(tracer.count(trace::EventKind::LinkDown), 2u);
+  EXPECT_EQ(tracer.count(trace::EventKind::LinkRestored), 2u);
+}
+
+// --- site partitions ---------------------------------------------------------
+
+TEST(ChaosSitePartition, WindowCutsEveryWanLinkOfTheSiteAndRunRecovers) {
+  MarkerRig rig(6, 2, 600000);
+  double clean_time = 0.0;
+  {
+    Platform platform(three_site_spec());
+    rig.spread_over(platform);
+    clean_time = middleware::run_distributed(platform, rig.layout, rig.options()).total_time;
+  }
+
+  // Cut west off the wide area from mid-run until past the clean finish:
+  // west keeps computing on its own data, but nothing (at minimum its
+  // end-of-run robj shipment to the head) crosses until restoration.
+  ChaosPlan plan;
+  ChaosEvent partition;
+  partition.kind = ChaosEvent::Kind::SitePartition;
+  partition.site_a = 2;
+  partition.at_seconds = 0.5 * clean_time;
+  partition.duration_seconds = 1.0 * clean_time;
+  plan.events.push_back(partition);
+
+  trace::Tracer faulted_trace;
+  RunOptions faulted = rig.options();
+  faulted.tracer = &faulted_trace;
+  faulted.chaos = &plan;
+  Platform platform(three_site_spec());
+  const RunResult result = middleware::run_distributed(platform, rig.layout, faulted);
+
+  EXPECT_EQ(faulted_trace.count(trace::EventKind::LinkDown), platform.cluster_count() - 1);
+  EXPECT_EQ(faulted_trace.count(trace::EventKind::LinkRestored), platform.cluster_count() - 1);
+  EXPECT_GT(result.total_time, clean_time);
   const auto once = chaos::audit_exactly_once(rig.executions(result));
   EXPECT_TRUE(once.ok) << once.detail;
 }
