@@ -79,10 +79,7 @@ void Prefetcher::pump() {
     if (issued_.count(chunk) || cache_.contains(chunk)) continue;
 
     const storage::ChunkInfo& info = layout_->chunk(chunk);
-    storage::ChunkInfo wire = info;
-    wire.bytes = static_cast<std::uint64_t>(
-        static_cast<double>(info.bytes) / env_.compression_ratio);
-    if (wire.bytes == 0) wire.bytes = 1;
+    const storage::ChunkInfo wire = storage::wire_chunk(info, env_.compression_ratio);
 
     const storage::StoreId store = resolve_store(chunk);
     issued_.insert(chunk);

@@ -47,8 +47,8 @@ class Prefetcher {
   /// Narrow per-run wiring (kept free of middleware types so cb_cache stays
   /// a leaf library under cb_middleware).
   struct Env {
-    /// Stored chunks move compressed (>= 1.0; the slave fetch path divides
-    /// by the same ratio).
+    /// Stored chunks move compressed at this ratio (storage::wire_chunk, as
+    /// on the slave fetch path).
     double compression_ratio = 1.0;
     /// Issue one (possibly retrying) GET of `wire` from store `s`; `done`
     /// fires with the transfer's final outcome. The runtime wires this to

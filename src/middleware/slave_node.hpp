@@ -78,6 +78,11 @@ class SlaveNode {
   /// (possibly retrying) store fetch. Re-entered when a joined prefetch or a
   /// whole retry cycle permanently fails — an assigned chunk must complete.
   void begin_fetch(storage::ChunkId chunk);
+  /// The chunk was served from the site cache (a hit, or a joined prefetch
+  /// that delivered): count it, credit the egress the master charged, and
+  /// settle replica routing and prefetch bookkeeping.
+  void credit_cache_hit(storage::ChunkId chunk, storage::StoreId store_id,
+                        std::uint64_t wire_bytes, cache::Prefetcher* pf);
   /// Issue the store fetch under the run's RetryPolicy; `cache` non-null
   /// admits the chunk (at `resident` bytes) on arrival.
   void fetch_from_store(storage::ChunkId chunk, const storage::ChunkInfo& wire,

@@ -1,9 +1,18 @@
 #include "storage/data_layout.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace cloudburst::storage {
+
+ChunkInfo wire_chunk(const ChunkInfo& info, double compression_ratio) {
+  ChunkInfo wire = info;
+  wire.bytes = static_cast<std::uint64_t>(static_cast<double>(info.bytes) /
+                                          std::max(1.0, compression_ratio));
+  if (wire.bytes == 0) wire.bytes = 1;
+  return wire;
+}
 
 DataLayout::DataLayout(std::vector<FileInfo> files, std::vector<ChunkInfo> chunks)
     : files_(std::move(files)), chunks_(std::move(chunks)) {

@@ -38,6 +38,12 @@ struct ChunkInfo {
   bool operator==(const ChunkInfo&) const = default;
 };
 
+/// The chunk as it moves over the wire when stored compressed at
+/// `compression_ratio` (below 1 counts as uncompressed): bytes / ratio, at
+/// least 1 byte. Every fetch of a chunk — slave, prefetcher, repair — sizes
+/// its transfer with this.
+ChunkInfo wire_chunk(const ChunkInfo& info, double compression_ratio);
+
 struct FileInfo {
   FileId id = 0;
   std::string name;
