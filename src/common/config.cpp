@@ -14,6 +14,22 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+/// Parse all of `text` with `parse` (std::stoll, std::stod); no digits,
+/// trailing junk or an out-of-range value all fail naming the key.
+template <typename T, typename Parse>
+T parse_all(const std::string& key, const std::string& text, const char* kind, Parse parse) {
+  std::size_t pos = std::string::npos;
+  T v{};
+  try {
+    v = parse(text, &pos);
+  } catch (const std::logic_error&) {
+  }
+  if (pos != text.size()) {
+    throw std::invalid_argument("config key " + key + " is not " + kind + ": " + text);
+  }
+  return v;
+}
+
 }  // namespace
 
 Config Config::from_args(const std::vector<std::string>& args) {
@@ -64,23 +80,19 @@ std::string Config::get_string(const std::string& key, const std::string& fallba
 std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  std::size_t pos = 0;
-  const std::int64_t v = std::stoll(it->second, &pos);
-  if (pos != it->second.size()) {
-    throw std::invalid_argument("config key " + key + " is not an integer: " + it->second);
-  }
-  return v;
+  return parse_all<std::int64_t>(key, it->second, "a 64-bit integer",
+                                 [](const std::string& s, std::size_t* pos) {
+                                   return std::stoll(s, pos);
+                                 });
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
-  if (pos != it->second.size()) {
-    throw std::invalid_argument("config key " + key + " is not a number: " + it->second);
-  }
-  return v;
+  return parse_all<double>(key, it->second, "a number",
+                           [](const std::string& s, std::size_t* pos) {
+                             return std::stod(s, pos);
+                           });
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "des/sim_time.hpp"
+
 namespace cloudburst::workload {
 namespace {
 
@@ -85,8 +87,8 @@ std::vector<TraceRecord> load_arrival_csv(const std::string& path) {
       fail(path, lineno, "submit_seconds is not a number: '" + fields[0] + "'");
     }
     saw_data = true;
-    if (submit < 0.0) {
-      fail(path, lineno, "submit_seconds must be non-negative");
+    if (!des::valid_seconds(submit)) {
+      fail(path, lineno, std::string("submit_seconds ") + des::kSecondsRule);
     }
     if (fields[1].empty()) fail(path, lineno, "tenant must not be empty");
     std::uint64_t bytes = 0;

@@ -145,8 +145,9 @@ std::uint32_t WorkloadManager::submit(JobSpec spec, double at_seconds) {
   if (running_) {
     throw std::logic_error("WorkloadManager: submit after run() started");
   }
-  if (at_seconds < 0.0) {
-    throw std::invalid_argument("WorkloadManager: negative submission time");
+  if (!des::valid_seconds(at_seconds)) {
+    throw std::invalid_argument(std::string("WorkloadManager: submission time ") +
+                                des::kSecondsRule);
   }
 
   auto job = std::make_unique<Job>();

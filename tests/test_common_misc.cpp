@@ -82,6 +82,22 @@ TEST(Config, RejectsBadTypes) {
   EXPECT_THROW(cfg.get_int("x", 0), std::exception);
   EXPECT_THROW(cfg.get_double("x", 0), std::exception);
   EXPECT_THROW(cfg.get_bool("x", false), std::invalid_argument);
+  // No digits, trailing junk or a value out of range fails naming the key.
+  const auto names_x = [](const auto& get) {
+    try {
+      get();
+      ADD_FAILURE() << "a bad value was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("config key x "), std::string::npos) << e.what();
+    }
+  };
+  for (const char* arg : {"x=abc", "x=1e999"}) {
+    const auto bad = Config::from_args({arg});
+    names_x([&] { (void)bad.get_int("x", 0); });
+    names_x([&] { (void)bad.get_double("x", 0); });
+  }
+  const auto huge = Config::from_args({"x=99999999999999999999"});
+  names_x([&] { (void)huge.get_int("x", 0); });
 }
 
 TEST(Config, ParsesFileFormatWithComments) {

@@ -404,6 +404,13 @@ TEST(TraceFile, MalformedInputsFailWithPathAndLine) {
                       "job_bytes is not an unsigned integer");
   expect_load_failure("zero_bytes.csv", "1.0,alice,0\n", "1",
                       "job_bytes must be positive");
+  // Times that parse as doubles but could never be scheduled.
+  expect_load_failure("nan_time.csv", "1.0,alice,100\nnan,bob,100\n", "2",
+                      "submit_seconds must be non-negative, finite");
+  expect_load_failure("inf_time.csv", "inf,alice,100\n", "1",
+                      "submit_seconds must be non-negative, finite");
+  expect_load_failure("huge_time.csv", "1e300,alice,100\n", "1",
+                      "submit_seconds must be non-negative, finite");
 }
 
 // --- directory-off byte identity ---------------------------------------------

@@ -6,7 +6,9 @@
 // model.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <unordered_map>
 
 #include "apps/datagen.hpp"
@@ -15,6 +17,7 @@
 #include "common/units.hpp"
 #include "cost/cost_model.hpp"
 #include "engine/gr_engine.hpp"
+#include "middleware/job_execution.hpp"
 #include "middleware/runtime.hpp"
 #include "trace/trace.hpp"
 
@@ -131,6 +134,65 @@ TEST(LifecycleValidation, RejectsNegativeTimes) {
   RunOptions rate = rig.options();
   rate.spot.reclaim_rate_per_hour = -1.0;
   EXPECT_THROW(rig.run(rate), std::invalid_argument);
+}
+
+// Every time the run schedules by is checked up front, where the message can
+// name the field, instead of reaching des::from_seconds mid-run.
+TEST(LifecycleValidation, RejectsNonFiniteAndOutOfRangeTimes) {
+  LifecycleRig rig;
+  Platform platform(PlatformSpec::paper_testbed(16, 16));
+  storage::DataLayout layout =
+      storage::build_layout_for_units(rig.data.units(), rig.data.unit_bytes(), 6, 4);
+  storage::assign_stores_by_fraction(layout, 0.5, platform.local_store_id(),
+                                     platform.cloud_store_id());
+  const auto expect_rejected = [&](const RunOptions& o, const std::string& field) {
+    try {
+      validate_run(platform, layout, o);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(field + " must be non-negative, finite"), std::string::npos) << msg;
+    }
+  };
+  const double nan = std::nan("");
+
+  RunOptions boot = rig.options();
+  boot.elastic.enabled = true;
+  boot.elastic.initial_cloud_nodes = 1;
+  boot.elastic.boot_seconds = -1.0;
+  expect_rejected(boot, "elastic.boot_seconds");
+
+  RunOptions crash = rig.options();
+  crash.lifecycle.push_back(event(Kind::Crash, kLocalSite, 0, nan));
+  expect_rejected(crash, "lifecycle event 0 at_seconds");
+
+  chaos::ChaosPlan plan;
+  chaos::ChaosEvent link;
+  link.kind = chaos::ChaosEvent::Kind::LinkFault;
+  link.site_a = kLocalSite;
+  link.site_b = kCloudSite;
+  link.at_seconds = 1.0;
+  link.duration_seconds = -1.0;  // never recovers: valid
+  plan.events = {link, link};
+  RunOptions chaos_run = rig.options();
+  chaos_run.chaos = &plan;
+  EXPECT_NO_THROW(validate_run(platform, layout, chaos_run));
+  for (const double bad : {nan, HUGE_VAL, 1e300, -1.0}) {
+    plan.events[1] = link;
+    plan.events[1].at_seconds = bad;
+    expect_rejected(chaos_run, "chaos event 1 at_seconds");
+    if (bad < 0.0) continue;  // a negative window never recovers
+    plan.events[1] = link;
+    plan.events[1].duration_seconds = bad;
+    expect_rejected(chaos_run, "chaos event 1 duration_seconds");
+  }
+
+  RunOptions detection = rig.options();
+  detection.failure_detection_seconds = HUGE_VAL;
+  expect_rejected(detection, "failure_detection_seconds");
+  RunOptions interval = rig.options();
+  interval.checkpoint_interval_seconds = nan;
+  expect_rejected(interval, "checkpoint_interval_seconds");
 }
 
 TEST(LifecycleValidation, RejectsWipingOutACluster) {
@@ -359,6 +421,51 @@ TEST(ElasticNodeFaultFrontEnds, DrainLeasesAReplacement) {
   EXPECT_EQ(a.lifecycle.replacements_leased, 1u);
   EXPECT_EQ(a.elastic_activations, 0u);
   EXPECT_EQ(a.cloud_instance_starts.size(), 3u);  // two initial + the replacement
+}
+
+// The robj wire size has one definition: every robj a slave or master ships
+// and every checkpoint it flushes (periodic or in a vacate notice) charges
+// the profile's robj_bytes, or the serialized payload (at least 64 bytes)
+// when the profile declares none.
+TEST(RobjWire, RobjSentAndCheckpointFlushedCarryTheWireSize) {
+  LifecycleRig rig;
+  const auto clean = rig.run(rig.options());
+  for (const std::uint64_t declared : {std::uint64_t{12345}, std::uint64_t{0}}) {
+    trace::Tracer tracer;
+    RunOptions o = rig.options();
+    o.profile.robj_bytes = declared;
+    o.checkpoint_interval_seconds = 0.2 * clean.total_time;
+    o.lifecycle.push_back(event(Kind::Drain, kCloudSite, 1, 0.5 * clean.total_time));
+    o.tracer = &tracer;
+    const auto result = rig.run(o);
+    rig.expect_correct(result);
+    EXPECT_EQ(result.lifecycle.nodes_vacated, 1u);
+
+    std::size_t sent = 0;
+    std::size_t flushed = 0;
+    for (const auto& e : tracer.events()) {
+      std::uint64_t bytes = 0;
+      if (e.kind == trace::EventKind::RobjSent) {
+        bytes = e.a;
+        ++sent;
+      } else if (e.kind == trace::EventKind::CheckpointFlushed) {
+        bytes = e.b;
+        ++flushed;
+      } else {
+        continue;
+      }
+      if (declared) {
+        EXPECT_EQ(bytes, declared) << trace::to_string(e.kind) << " by " << e.actor;
+      } else {
+        EXPECT_GE(bytes, 64u) << trace::to_string(e.kind) << " by " << e.actor;
+      }
+    }
+    // Slaves and masters ship robjs at the commit; the periodic rounds and
+    // the drain's vacate notice each flush at least one checkpoint.
+    EXPECT_GT(sent, 2u);
+    EXPECT_GE(flushed, 2u);
+    EXPECT_EQ(result.lifecycle.checkpoint_flushes, flushed);
+  }
 }
 
 TEST(NodeFaultGuard, CrashAfterTheRunEndsIsInert) {

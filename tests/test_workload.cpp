@@ -337,6 +337,22 @@ TEST(WorkloadManager, PriorityPreemptsLowPriorityAtChunkBoundaries) {
   EXPECT_LT(result.job(2).finish_seconds, result.job(1).finish_seconds);
 }
 
+TEST(WorkloadManager, SubmitRejectsTimesItCannotSchedule) {
+  WorkloadRig rig;
+  WorkloadManager manager(rig.platform, WorkloadOptions{});
+  for (const double at : {-1.0, std::nan(""), HUGE_VAL, 1e300}) {
+    try {
+      manager.submit(rig.job("bad"), at);
+      ADD_FAILURE() << "submission at " << at << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("submission time must be non-negative"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(manager.submit(rig.job("ok"), 0.0));
+}
+
 TEST(WorkloadManager, MaxConcurrentCapsAdmission) {
   WorkloadRig rig;
   WorkloadOptions opts;
