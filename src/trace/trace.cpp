@@ -186,11 +186,9 @@ std::string Tracer::render_gantt(std::size_t width) const {
     return false;
   };
 
-  std::string out;
-  char header[64];
-  std::snprintf(header, sizeof(header), "0s%*s%.1fs\n", static_cast<int>(width), "",
-                t_end);
-  out += header;
+  char end_label[32];
+  std::snprintf(end_label, sizeof(end_label), "%.1fs\n", t_end);
+  std::string out = "0s" + std::string(width, ' ') + end_label;
   for (const auto& [actor, row] : rows) {
     if (row.fetch.empty() && row.cache_fetch.empty() && row.process.empty() &&
         row.queued.empty() && row.running.empty() && row.lifecycle.empty()) {
@@ -233,9 +231,9 @@ std::string Tracer::render_gantt(std::size_t width) const {
         }
       }
     }
-    char line[160];
-    std::snprintf(line, sizeof(line), "%-16s |%s|\n", actor.c_str(), bar.c_str());
-    out += line;
+    std::string label = actor;
+    if (label.size() < 16) label.resize(16, ' ');
+    out += label + " |" + bar + "|\n";
   }
   return out;
 }

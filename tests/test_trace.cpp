@@ -55,6 +55,20 @@ TEST(Tracer, GanttMarksActivity) {
   EXPECT_NE(gantt.find('P'), std::string::npos);
 }
 
+TEST(Tracer, GanttHeaderEndsWithEndTimeAtEveryWidth) {
+  Tracer tracer;
+  tracer.record(0.0, EventKind::FetchStart, "n0", 1);
+  tracer.record(12.5, EventKind::FetchEnd, "n0", 1);
+  // The header ends in the end time and a newline; each row keeps its
+  // closing bar however wide the chart is.
+  for (std::size_t width : {std::size_t{60}, std::size_t{80}, std::size_t{200}}) {
+    EXPECT_EQ(tracer.render_gantt(width), "0s" + std::string(width, ' ') + "12.5s\n" +
+                                              "n0               |" + std::string(width, 'f') +
+                                              "|\n")
+        << "width " << width;
+  }
+}
+
 TEST(Tracer, GanttEmptyWhenNoEvents) {
   Tracer tracer;
   EXPECT_TRUE(tracer.render_gantt().empty());
