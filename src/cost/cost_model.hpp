@@ -2,8 +2,8 @@
 //
 // Consumes the run result plus platform/store statistics and produces an
 // itemized CostReport:
-//  * compute — cloud instances × ceil(run duration in hours), per 2011 EC2
-//    per-started-hour billing;
+//  * compute — each rented cloud instance × ceil(its rented hours), per 2011
+//    EC2 per-started-hour billing;
 //  * requests — S3 range GETs (each chunk fetch issues `streams` GETs);
 //  * transfer out — bytes that left the provider: chunks the local cluster
 //    stole from S3 plus the cloud master's reduction object crossing the
@@ -23,9 +23,8 @@ namespace cloudburst::cost {
 
 struct CostInputs {
   double run_seconds = 0.0;
-  std::uint32_t cloud_instances = 0;
-  /// Per-instance rented durations (elastic runs bill from activation).
-  /// When non-empty this overrides `cloud_instances` x run_seconds.
+  /// Rented duration of each billed cloud instance (elastic runs bill from
+  /// activation); each bills ceil(duration) quanta, at least one.
   std::vector<double> instance_seconds;
   std::uint64_t s3_get_requests = 0;
   std::uint64_t bytes_out_of_cloud = 0;  ///< transfer-out volume

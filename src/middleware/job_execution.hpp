@@ -75,9 +75,10 @@ class JobExecution {
   double start_time() const { return start_time_; }
   RunContext& ctx() { return ctx_; }
 
-  /// Settle the prefetchers and aggregate the RunResult. Call after the
+  /// Settle the prefetchers and aggregate the RunResult. Call once, after the
   /// simulator drained (standalone) or after the whole workload finished, so
-  /// in-flight transfers have landed. `use_platform_store_stats` keeps the
+  /// in-flight transfers have landed: the recorder's counters move into the
+  /// result. `use_platform_store_stats` keeps the
   /// historical store_requests source (the store's own global counters) for
   /// solo runs; a workload passes false to use this job's own counts.
   RunResult collect(bool use_platform_store_stats = true);

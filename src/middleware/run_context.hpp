@@ -253,67 +253,31 @@ struct RunOptions {
   const chaos::ChaosPlan* chaos = nullptr;
 };
 
-/// Mutable per-run recorder; actors write, the runtime aggregates.
-struct RunRecorder {
-  std::vector<NodeTimes> nodes;  ///< one per slave, global index order
-  /// Activation time of each billed cloud instance (0.0 for initial ones).
-  /// Under a workload, times are relative to the job's own start.
-  std::vector<double> cloud_instance_starts;
-  /// Physical node behind each cloud_instance_starts entry (parallel
-  /// vector); lets a workload bill a node shared by several jobs once.
-  std::vector<net::EndpointId> cloud_instance_nodes;
-  /// Billing end per entry (parallel; negative = end of run). Left empty
-  /// until a lifecycle event ends a rental early, so default runs carry no
-  /// extra state.
-  std::vector<double> cloud_instance_ends;
-  std::uint32_t elastic_activations = 0;
-  /// Node-lifecycle accounting (drains, reclaims, checkpoints, migrations).
-  LifecycleStats lifecycle;
-  /// Per-cluster counters (jobs_local … hedges_won), indexed by ClusterId
-  /// and sized by init(); collect() copies them into RunResult::clusters,
-  /// which fills in the name and the time decomposition.
-  std::vector<ClusterResult> clusters;
-  /// Bytes cluster c fetched from store s: bytes_from_store[c][s].
-  std::vector<std::vector<std::uint64_t>> bytes_from_store;
-  /// Bytes cluster c served from its site cache that bytes_from_store
-  /// already charged to store s at assignment time (the cost model credits
-  /// these back so only physically transferred bytes are billed as egress).
-  std::vector<std::vector<std::uint64_t>> bytes_from_cache;
-  /// Wire bytes cluster c moved from store s that were NOT the delivered
-  /// copy (failed partial GETs, hedge losers, post-timeout arrivals). They
-  /// crossed the WAN, so the cost model bills them as egress on top of
-  /// bytes_from_store.
-  std::vector<std::vector<std::uint64_t>> bytes_retried;
-  /// Store fetch requests this run issued against store s from cluster c,
-  /// counted at the retry layer: store_fetch_requests[c][s]. Equals the
-  /// store's own stats().requests for a solo run; under a multi-job
-  /// workload it is the per-job share the tenant cost attribution needs
-  /// (the store's global counter aggregates every job).
-  std::vector<std::vector<std::uint64_t>> store_fetch_requests;
-  /// Replication accounting (extra_replica_bytes stays empty here; the
-  /// runtime snapshots it from the ReplicaSet at collect time).
-  ReplicaStats replica;
+/// Mutable per-run recorder; actors write the RunResult counters in place
+/// (clusters, nodes, lifecycle, replica, store traffic, rentals) and
+/// JobExecution::collect fills in the derived fields. Under a workload,
+/// rental times are relative to the job's own start; extra_replica_bytes
+/// stays empty here (collect snapshots it from the ReplicaSet).
+struct RunRecorder : RunResult {
   double end_time = 0.0;
   bool finished = false;
 
-  /// Size the per-cluster / per-store vectors for a platform.
+  /// Size the per-cluster / per-store counters for a platform.
   void init(std::size_t cluster_count, std::size_t stores) {
     clusters.assign(cluster_count, ClusterResult{});
-    bytes_from_store.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
-    bytes_from_cache.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
-    bytes_retried.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
-    store_fetch_requests.assign(cluster_count, std::vector<std::uint64_t>(stores, 0));
+    store_traffic.assign(cluster_count, std::vector<StoreTraffic>(stores));
   }
 
   /// Charge one chunk read of `bytes` by cluster `site` from `store` (or,
-  /// with `reverse`, take such a charge back): bytes_from_store and the
-  /// site's local/stolen split, local when `store` is the site's own.
+  /// with `reverse`, take such a charge back): the store traffic's fetched
+  /// bytes and the site's local/stolen split, local when `store` is the
+  /// site's own.
   void charge_read(cluster::ClusterId site, storage::StoreId store, bool local,
                    std::uint64_t bytes, bool reverse = false) {
     ClusterResult& c = clusters[site];
     std::uint32_t& jobs = local ? c.jobs_local : c.jobs_stolen;
     std::uint64_t& moved = local ? c.bytes_local : c.bytes_stolen;
-    std::uint64_t& from_store = bytes_from_store[site][store];
+    std::uint64_t& from_store = store_traffic[site][store].fetched;
     if (reverse) {
       --jobs;
       moved -= bytes;
@@ -325,17 +289,14 @@ struct RunRecorder {
     }
   }
 
-  /// Stop billing `node`'s open rental at `at_seconds` (job-relative). Lazily
-  /// sizes cloud_instance_ends; a node rented more than once (standby
-  /// re-lease) closes its most recent open rental. No-op for nodes that were
-  /// never billed (e.g. a drained local node).
+  /// Stop billing `node`'s open rental at `at_seconds` (job-relative). A node
+  /// rented more than once (standby re-lease) closes its most recent open
+  /// rental. No-op for nodes that were never billed (e.g. a drained local
+  /// node).
   void end_cloud_billing(net::EndpointId node, double at_seconds) {
-    if (cloud_instance_ends.size() < cloud_instance_nodes.size()) {
-      cloud_instance_ends.resize(cloud_instance_nodes.size(), -1.0);
-    }
-    for (std::size_t i = cloud_instance_nodes.size(); i-- > 0;) {
-      if (cloud_instance_nodes[i] == node && cloud_instance_ends[i] < 0.0) {
-        cloud_instance_ends[i] = at_seconds;
+    for (auto it = cloud_rentals.rbegin(); it != cloud_rentals.rend(); ++it) {
+      if (it->node == node && it->end < 0.0) {
+        it->end = at_seconds;
         return;
       }
     }
@@ -481,7 +442,7 @@ struct RunContext {
                                   storage::ChunkId chunk, storage::StoreId store) {
     storage::RetryHooks h;
     h.on_attempt = [this, site, store](unsigned) {
-      ++recorder.store_fetch_requests[site][store];
+      ++recorder.store_traffic[site][store].requests;
     };
     h.on_fault = [this, site, actor, chunk](unsigned attempt, const storage::FetchResult&) {
       ++recorder.clusters[site].store_faults;
@@ -500,7 +461,7 @@ struct RunContext {
       trace(trace::EventKind::HedgeWon, actor, chunk, attempt);
     };
     h.on_wasted = [this, site, store](std::uint64_t bytes) {
-      recorder.bytes_retried[site][store] += bytes;
+      recorder.store_traffic[site][store].retried += bytes;
     };
     return h;
   }

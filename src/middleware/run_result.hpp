@@ -88,27 +88,45 @@ struct ClusterResult {
   std::uint32_t nodes = 0;
 };
 
+/// One billed cloud instance rental. Under a workload, times are relative to
+/// the job's own start.
+struct CloudRental {
+  net::EndpointId node = 0;  ///< the physical node, so a workload bills it once
+  double start = 0.0;        ///< activation time (0.0 = rented from the start)
+  /// Billing end; negative = rented to the end of the run. Reclaimed or
+  /// drained cloud nodes stop billing when they vacate / hit the reclaim
+  /// deadline.
+  double end = -1.0;
+};
+
+/// What one cluster moved from one store during the run.
+struct StoreTraffic {
+  /// Bytes charged to the store at assignment time (chunk bytes, before
+  /// compression). The cost model derives provider egress from this (data a
+  /// non-cloud cluster pulled out of a cloud store).
+  std::uint64_t fetched = 0;
+  /// Bytes of `fetched` that the site cache actually served: no WAN
+  /// transfer happened, so the cost model credits them back.
+  std::uint64_t cached = 0;
+  /// Wire bytes that moved but were not the delivered copy (failed partial
+  /// GETs, hedge losers, post-timeout arrivals). They crossed the provider's
+  /// egress boundary, so the cost model bills them *on top of* `fetched` —
+  /// retried bytes are not free.
+  std::uint64_t retried = 0;
+  /// Store fetch requests issued, counted at the retry layer (first tries,
+  /// retries and hedge legs). Equals the store's own stats().requests for a
+  /// solo run; under a multi-job workload it is this job's share.
+  std::uint64_t requests = 0;
+};
+
 struct RunResult {
   double total_time = 0.0;             ///< wall-clock of the whole job (sim seconds)
   double global_reduction_time = 0.0;  ///< after the last cluster finished processing
   std::vector<ClusterResult> clusters; ///< one per platform site
-  std::vector<NodeTimes> nodes;
+  std::vector<NodeTimes> nodes;        ///< one per slave, global index order
 
-  /// Bytes each cluster fetched from each store: [cluster][store]. The cost
-  /// model derives provider egress from this (data a non-cloud cluster pulled
-  /// out of a cloud store).
-  std::vector<std::vector<std::uint64_t>> bytes_from_store;
-
-  /// Bytes of bytes_from_store that the site cache actually served —
-  /// assignment-time accounting charged them to the store, but no WAN
-  /// transfer happened. The cost model credits these back.
-  std::vector<std::vector<std::uint64_t>> bytes_from_cache;
-
-  /// Wire bytes that moved but were not the delivered copy (failed partial
-  /// GETs, hedge losers, post-timeout arrivals): [cluster][store]. They
-  /// crossed the provider's egress boundary, so the cost model bills them
-  /// *on top of* bytes_from_store — retried bytes are not free.
-  std::vector<std::vector<std::uint64_t>> bytes_retried;
+  /// Store traffic of each cluster: store_traffic[cluster][store].
+  std::vector<std::vector<StoreTraffic>> store_traffic;
 
   /// Requests each store served during the run (fetch calls; an object store
   /// issues retrieval_streams range GETs per request).
@@ -117,19 +135,10 @@ struct RunResult {
   /// the cost model prices and the benches report as "S3 requests".
   std::uint64_t s3_get_requests = 0;
 
-  /// Activation time of each *billed* cloud instance (0.0 = rented from the
-  /// start). For non-elastic runs this is one zero per cloud instance;
-  /// elastic runs append booted instances at their activation times.
-  std::vector<double> cloud_instance_starts;
-  /// Physical node behind each cloud_instance_starts entry (parallel
-  /// vector). A workload uses it to bill a node shared by concurrent jobs
-  /// once instead of once per job.
-  std::vector<net::EndpointId> cloud_instance_nodes;
-  /// Billing end of each cloud_instance_starts entry (parallel vector;
-  /// negative = rented to the end of the run). Reclaimed or drained cloud
-  /// nodes stop billing when they vacate / hit the reclaim deadline. Empty
-  /// when no node lifecycle event ended a rental early.
-  std::vector<double> cloud_instance_ends;
+  /// Every *billed* cloud instance rental. For non-elastic runs this is one
+  /// rental from 0.0 per cloud instance; elastic runs and replacement leases
+  /// append booted instances at their activation times.
+  std::vector<CloudRental> cloud_rentals;
   std::uint32_t elastic_activations = 0;  ///< instances booted mid-run
 
   /// Node-lifecycle accounting (all zero with no lifecycle events).
@@ -176,8 +185,8 @@ struct RunResult {
   /// Total wasted wire bytes across all cluster/store pairs.
   std::uint64_t bytes_retried_total() const {
     std::uint64_t n = 0;
-    for (const auto& per_store : bytes_retried) {
-      for (std::uint64_t b : per_store) n += b;
+    for (const auto& per_store : store_traffic) {
+      for (const StoreTraffic& t : per_store) n += t.retried;
     }
     return n;
   }

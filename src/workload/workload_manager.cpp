@@ -490,7 +490,6 @@ WorkloadResult WorkloadManager::aggregate() {
       const double lease_seconds = pool_->job_lease_seconds(job.id);
       if (lease_seconds > 0.0) {
         job_inputs.back().instance_seconds.push_back(lease_seconds);
-        job_inputs.back().cloud_instances = 1;
       }
     }
     r.raw_cost = cost::price(job_inputs.back(), options_.pricing);
@@ -504,38 +503,25 @@ WorkloadResult WorkloadManager::aggregate() {
   // --- the platform billed once ----------------------------------------------
   // Cloud nodes are physical: a node several jobs rented (including elastic
   // activations from different tenants) bills from its earliest rental to
-  // the end of the workload, exactly once.
-  std::map<net::EndpointId, double> rented_from;
-  // Latest rental end per node; a rental no lifecycle event closed runs to
+  // the end of the workload, exactly once. `rented` holds each node's span,
+  // [earliest start, latest end]; a rental no lifecycle event closed runs to
   // the workload's makespan, which then dominates every early end.
-  std::map<net::EndpointId, double> rented_until;
+  std::map<net::EndpointId, std::pair<double, double>> rented;
   for (const JobResult& r : result.jobs) {
-    for (std::size_t i = 0; i < r.run.cloud_instance_nodes.size(); ++i) {
-      const double at =
-          r.start_seconds + (i < r.run.cloud_instance_starts.size()
-                                 ? r.run.cloud_instance_starts[i]
-                                 : 0.0);
-      const double end = i < r.run.cloud_instance_ends.size() &&
-                                 r.run.cloud_instance_ends[i] >= 0.0
-                             ? r.start_seconds + r.run.cloud_instance_ends[i]
-                             : result.makespan;
-      const net::EndpointId node = r.run.cloud_instance_nodes[i];
-      const auto it = rented_from.find(node);
-      if (it == rented_from.end()) {
-        rented_from[node] = at;
-        rented_until[node] = end;
-      } else {
-        it->second = std::min(it->second, at);
-        rented_until[node] = std::max(rented_until[node], end);
+    for (const middleware::CloudRental& rental : r.run.cloud_rentals) {
+      const double at = r.start_seconds + rental.start;
+      const double end = rental.end >= 0.0 ? r.start_seconds + rental.end : result.makespan;
+      const auto [it, first] = rented.try_emplace(rental.node, at, end);
+      if (!first) {
+        it->second.first = std::min(it->second.first, at);
+        it->second.second = std::max(it->second.second, end);
       }
     }
   }
   cost::CostInputs platform_inputs;
   platform_inputs.run_seconds = result.makespan;
-  platform_inputs.cloud_instances = static_cast<std::uint32_t>(rented_from.size());
-  for (const auto& [ep, from] : rented_from) {
-    platform_inputs.instance_seconds.push_back(
-        std::max(0.0, rented_until.at(ep) - from));
+  for (const auto& [node, span] : rented) {
+    platform_inputs.instance_seconds.push_back(std::max(0.0, span.second - span.first));
   }
   if (pool_) {
     // Under the node pool the per-job rental lists above are empty by
@@ -545,8 +531,6 @@ WorkloadResult WorkloadManager::aggregate() {
       platform_inputs.instance_seconds.push_back(
           std::max(0.0, window.end - window.start));
     }
-    platform_inputs.cloud_instances =
-        static_cast<std::uint32_t>(platform_inputs.instance_seconds.size());
     result.pool = pool_->stats();
   }
   for (const cost::CostInputs& in : job_inputs) {

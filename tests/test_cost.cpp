@@ -15,17 +15,18 @@ TEST(Pricing, PerStartedHourBilling) {
   CloudPricing pricing;
   pricing.instance_hour_usd = 1.0;
   CostInputs inputs;
-  inputs.cloud_instances = 4;
   inputs.run_seconds = 60.0;  // one minute still bills a full hour
+  inputs.instance_seconds.assign(4, inputs.run_seconds);
   EXPECT_DOUBLE_EQ(price(inputs, pricing).instance_usd, 4.0);
   inputs.run_seconds = 3601.0;  // just over an hour bills two
+  inputs.instance_seconds.assign(4, inputs.run_seconds);
   EXPECT_DOUBLE_EQ(price(inputs, pricing).instance_usd, 8.0);
 }
 
 TEST(Pricing, ZeroInstancesCostNothing) {
   CostInputs inputs;
   inputs.run_seconds = 10000.0;
-  inputs.cloud_instances = 0;
+  inputs.instance_seconds.assign(0, inputs.run_seconds);
   EXPECT_DOUBLE_EQ(price(inputs, CloudPricing::aws_2011()).instance_usd, 0.0);
 }
 
@@ -53,7 +54,7 @@ TEST(Pricing, StorageProratedToRun) {
 TEST(Pricing, TotalSumsComponents) {
   CostInputs inputs;
   inputs.run_seconds = 1000;
-  inputs.cloud_instances = 2;
+  inputs.instance_seconds.assign(2, inputs.run_seconds);
   inputs.s3_get_requests = 10000;
   inputs.bytes_out_of_cloud = GB(1);
   inputs.s3_resident_bytes = GB(6);
@@ -96,8 +97,8 @@ std::vector<PlanPoint> synthetic_points() {
     p.cloud_cores = cores;
     p.exec_seconds = 100.0 / (1.0 + cores / 8.0);
     CostInputs inputs;
-    inputs.cloud_instances = cores / 2;
     inputs.run_seconds = p.exec_seconds;
+    inputs.instance_seconds.assign(cores / 2, inputs.run_seconds);
     p.cost = price(inputs, CloudPricing::aws_2011());
     pts.push_back(p);
   }

@@ -36,6 +36,16 @@ using directory::DirectoryEvent;
 using directory::PlatformDirectory;
 using directory::ServiceState;
 
+/// Bytes each cluster fetched from each store, [cluster][store].
+std::vector<std::vector<std::uint64_t>> fetched_bytes(const middleware::RunResult& run) {
+  std::vector<std::vector<std::uint64_t>> bytes;
+  for (const auto& per_store : run.store_traffic) {
+    auto& row = bytes.emplace_back();
+    for (const auto& traffic : per_store) row.push_back(traffic.fetched);
+  }
+  return bytes;
+}
+
 // --- directory state machine -------------------------------------------------
 
 TEST(PlatformDirectory, BootstrapSkipsOfflineNodesUntilRegistered) {
@@ -443,7 +453,7 @@ TEST(DirectoryIntegration, AttachedButUnmutatedDirectoryIsByteIdentical) {
     EXPECT_DOUBLE_EQ(a.finish_seconds, b.finish_seconds);
     EXPECT_DOUBLE_EQ(a.run.total_time, b.run.total_time);
     EXPECT_EQ(a.run.store_requests, b.run.store_requests);
-    EXPECT_EQ(a.run.bytes_from_store, b.run.bytes_from_store);
+    EXPECT_EQ(fetched_bytes(a.run), fetched_bytes(b.run));
     ASSERT_EQ(a.run.nodes.size(), b.run.nodes.size());
     for (std::size_t n = 0; n < b.run.nodes.size(); ++n) {
       EXPECT_DOUBLE_EQ(a.run.nodes[n].finish_time, b.run.nodes[n].finish_time);

@@ -63,7 +63,7 @@ TEST(Elastic, LooseDeadlineBootsNothing) {
   const auto result = rig.run(/*deadline=*/1e6);
   // One initial cloud instance must be enough for an infinite deadline.
   EXPECT_EQ(result.elastic_activations, 0u);
-  EXPECT_EQ(result.cloud_instance_starts.size(), 1u);
+  EXPECT_EQ(result.cloud_rentals.size(), 1u);
 }
 
 TEST(Elastic, TightDeadlineScalesOut) {
@@ -72,7 +72,7 @@ TEST(Elastic, TightDeadlineScalesOut) {
   const auto tight = rig.run(0.3 * loose.total_time);
   EXPECT_GT(tight.elastic_activations, 0u);
   EXPECT_LT(tight.total_time, loose.total_time);
-  EXPECT_EQ(tight.cloud_instance_starts.size(), 1u + tight.elastic_activations);
+  EXPECT_EQ(tight.cloud_rentals.size(), 1u + tight.elastic_activations);
 }
 
 TEST(Elastic, TighterDeadlineBootsMore) {
@@ -89,8 +89,8 @@ TEST(Elastic, ActivationsRespectBootDelay) {
   rig.options.elastic.boot_seconds = 25.0;
   const auto result = rig.run(1.0);  // impossible deadline: scale hard
   EXPECT_GT(result.elastic_activations, 0u);
-  for (std::size_t i = 1; i < result.cloud_instance_starts.size(); ++i) {
-    const double start = result.cloud_instance_starts[i];
+  for (std::size_t i = 1; i < result.cloud_rentals.size(); ++i) {
+    const double start = result.cloud_rentals[i].start;
     if (start > 0.0) {
       // Booted instances come up no earlier than interval + boot.
       EXPECT_GE(start, rig.options.elastic.check_interval_seconds +
@@ -108,13 +108,12 @@ TEST(Elastic, BillingStartsAtActivation) {
   // under an hour, so billed hours == instance count.
   cost::CostInputs inputs;
   inputs.run_seconds = tight.total_time;
-  inputs.cloud_instances = static_cast<std::uint32_t>(tight.cloud_instance_starts.size());
-  for (double s : tight.cloud_instance_starts) {
-    inputs.instance_seconds.push_back(tight.total_time - s);
+  for (const CloudRental& rental : tight.cloud_rentals) {
+    inputs.instance_seconds.push_back(tight.total_time - rental.start);
   }
   const auto report = cost::price(inputs, cost::CloudPricing::aws_2011());
   EXPECT_DOUBLE_EQ(report.instance_hours,
-                   static_cast<double>(tight.cloud_instance_starts.size()));
+                   static_cast<double>(tight.cloud_rentals.size()));
 }
 
 TEST(Elastic, RealExecutionStaysCorrectUnderScaleOut) {
@@ -167,8 +166,8 @@ bool billed(const RunResult& result, const std::string& name) {
   Platform platform(PlatformSpec::paper_testbed(8, 16));
   for (const auto& node : platform.nodes(kCloudSite)) {
     if (node.name != name) continue;
-    return std::find(result.cloud_instance_nodes.begin(), result.cloud_instance_nodes.end(),
-                     node.endpoint) != result.cloud_instance_nodes.end();
+    return std::any_of(result.cloud_rentals.begin(), result.cloud_rentals.end(),
+                       [&node](const CloudRental& r) { return r.node == node.endpoint; });
   }
   return false;
 }
@@ -222,7 +221,7 @@ TEST(Elastic, BootAfterTheRunEndsIsInert) {
   rig.options.elastic.boot_seconds = 1000.0;  // every boot outlasts the run
   const auto result = rig.run(1.0);  // impossible deadline: scale hard
   std::uint32_t late = 0;
-  for (double start : result.cloud_instance_starts) late += start > result.total_time;
+  for (const CloudRental& r : result.cloud_rentals) late += r.start > result.total_time;
   ASSERT_GT(late, 0u);
   EXPECT_EQ(tracer.count(trace::EventKind::InstanceActivated),
             result.elastic_activations - late);
@@ -267,7 +266,7 @@ TEST(ElasticFaults, SiteOutageSparesHeldNodes) {
   rig.options.tracer = nullptr;
   const auto tight = rig.run(tight_deadline);
   EXPECT_EQ(tight.elastic_activations, 0u);
-  EXPECT_EQ(tight.cloud_instance_nodes.size(), 2u);
+  EXPECT_EQ(tight.cloud_rentals.size(), 2u);
 }
 
 // A permanent outage of the store that holds the only copy of some chunk

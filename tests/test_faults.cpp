@@ -372,7 +372,7 @@ TEST(PaperFidelity, DefaultFaultModelKeepsPaperRunsByteIdentical) {
     EXPECT_EQ(result.lifecycle.nodes_reclaimed, 0u);
     EXPECT_EQ(result.lifecycle.nodes_crashed, 0u);
     EXPECT_EQ(result.lifecycle.replacements_leased, 0u);
-    EXPECT_TRUE(result.cloud_instance_ends.empty());
+    for (const auto& rental : result.cloud_rentals) EXPECT_LT(rental.end, 0.0);
     // Replication defaults off (RunOptions::replication == nullptr): no
     // copies created, lost, or repaired, and no replica storage billed.
     EXPECT_EQ(result.replica.replicas_created, 0u);
@@ -617,8 +617,8 @@ struct CombinedRig {
 
 // No crash: with faults, a throttling window, a prefetching cache, and a
 // retry policy all active, every wire byte is accounted exactly once:
-//   sum(store bytes_served) == sum(bytes_from_store - bytes_from_cache)
-//                              + sum(bytes_retried).
+//   sum(store bytes_served) == sum(fetched - cached) + sum(retried)
+// over every cluster's store traffic.
 TEST(CombinedAxes, FaultsThrottleCacheRetryConserveBytes) {
   CombinedRig rig;
   auto spec = cluster::PlatformSpec::paper_testbed(16, 16);
@@ -650,11 +650,11 @@ TEST(CombinedAxes, FaultsThrottleCacheRetryConserveBytes) {
   std::uint64_t served = 0;
   for (const auto& s : out.store_stats) served += s.bytes_served;
   std::uint64_t charged = 0, credited = 0;
-  for (const auto& per_store : out.result.bytes_from_store) {
-    for (std::uint64_t b : per_store) charged += b;
-  }
-  for (const auto& per_store : out.result.bytes_from_cache) {
-    for (std::uint64_t b : per_store) credited += b;
+  for (const auto& per_store : out.result.store_traffic) {
+    for (const auto& t : per_store) {
+      charged += t.fetched;
+      credited += t.cached;
+    }
   }
   EXPECT_EQ(served, charged - credited + out.result.bytes_retried_total());
 }

@@ -6,6 +6,7 @@
 // model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -420,7 +421,7 @@ TEST(ElasticNodeFaultFrontEnds, DrainLeasesAReplacement) {
   EXPECT_EQ(a.lifecycle.nodes_vacated, 1u);
   EXPECT_EQ(a.lifecycle.replacements_leased, 1u);
   EXPECT_EQ(a.elastic_activations, 0u);
-  EXPECT_EQ(a.cloud_instance_starts.size(), 3u);  // two initial + the replacement
+  EXPECT_EQ(a.cloud_rentals.size(), 3u);  // two initial + the replacement
 }
 
 // The robj wire size has one definition: every robj a slave or master ships
@@ -510,8 +511,8 @@ TEST(SpotReclaim, AdequateNoticeDrainsGracefully) {
   EXPECT_EQ(result.lifecycle.nodes_reclaimed, 0u);
   // The vacated cloud instance stopped billing before the run ended.
   bool ended_early = false;
-  for (double end : result.cloud_instance_ends) {
-    if (end >= 0.0 && end < result.total_time) ended_early = true;
+  for (const CloudRental& rental : result.cloud_rentals) {
+    if (rental.end >= 0.0 && rental.end < result.total_time) ended_early = true;
   }
   EXPECT_TRUE(ended_early);
 }
@@ -545,10 +546,11 @@ TEST(SpotReclaim, ReclaimStopsBillingAtTheDeadline) {
   o.failure_detection_seconds = 0.2;
   const auto result = rig.run(o, 12);
   rig.expect_correct(result);
-  ASSERT_FALSE(result.cloud_instance_ends.empty());
+  ASSERT_TRUE(std::any_of(result.cloud_rentals.begin(), result.cloud_rentals.end(),
+                          [](const CloudRental& rental) { return rental.end >= 0.0; }));
   double reclaimed_end = -1.0;
-  for (double end : result.cloud_instance_ends) {
-    if (end >= 0.0) reclaimed_end = end;
+  for (const CloudRental& rental : result.cloud_rentals) {
+    if (rental.end >= 0.0) reclaimed_end = rental.end;
   }
   // Billing ends at notice + deadline, not at the end of the run.
   EXPECT_NEAR(reclaimed_end, at + 0.001, 1e-9);
@@ -558,20 +560,14 @@ TEST(SpotReclaim, ReclaimStopsBillingAtTheDeadline) {
   // hours drop below what billing-to-the-end would charge.
   cost::CostInputs inputs;
   inputs.run_seconds = result.total_time;
-  inputs.cloud_instances =
-      static_cast<std::uint32_t>(result.cloud_instance_starts.size());
-  for (std::size_t i = 0; i < result.cloud_instance_starts.size(); ++i) {
-    double until = result.total_time;
-    if (i < result.cloud_instance_ends.size() &&
-        result.cloud_instance_ends[i] >= 0.0) {
-      until = result.cloud_instance_ends[i];
-    }
-    inputs.instance_seconds.push_back(until - result.cloud_instance_starts[i]);
+  for (const CloudRental& rental : result.cloud_rentals) {
+    const double until = rental.end >= 0.0 ? rental.end : result.total_time;
+    inputs.instance_seconds.push_back(until - rental.start);
   }
   double billed = 0.0;
   for (double s : inputs.instance_seconds) billed += s;
   const double to_end =
-      result.total_time * static_cast<double>(result.cloud_instance_starts.size());
+      result.total_time * static_cast<double>(result.cloud_rentals.size());
   EXPECT_LT(billed, to_end);
 }
 
@@ -666,8 +662,8 @@ TEST(Migration, ReplacementLeasedForACrashedCloudNode) {
   EXPECT_EQ(result.lifecycle.replacements_leased, 1u);
   // The replacement bills from its boot, not from the start of the run.
   bool late_start = false;
-  for (double s : result.cloud_instance_starts) {
-    if (s > 0.0) late_start = true;
+  for (const CloudRental& rental : result.cloud_rentals) {
+    if (rental.start > 0.0) late_start = true;
   }
   EXPECT_TRUE(late_start);
   bool migrated_event = false;
@@ -794,7 +790,7 @@ TEST(LifecyclePin, DefaultOptionsMoveNothing) {
   const auto result = rig.run(o);
   EXPECT_DOUBLE_EQ(result.total_time, base.total_time);
   EXPECT_EQ(result.total_jobs(), base.total_jobs());
-  EXPECT_TRUE(result.cloud_instance_ends.empty());
+  for (const CloudRental& rental : result.cloud_rentals) EXPECT_LT(rental.end, 0.0);
   EXPECT_EQ(result.lifecycle.drains_requested, 0u);
   EXPECT_EQ(result.lifecycle.checkpoint_flushes, 0u);
 }

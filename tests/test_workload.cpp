@@ -188,6 +188,16 @@ struct WorkloadRig {
 
 // --- byte-identity of the solo path ------------------------------------------
 
+/// Bytes each cluster fetched from each store, [cluster][store].
+std::vector<std::vector<std::uint64_t>> fetched_bytes(const middleware::RunResult& run) {
+  std::vector<std::vector<std::uint64_t>> bytes;
+  for (const auto& per_store : run.store_traffic) {
+    auto& row = bytes.emplace_back();
+    for (const auto& traffic : per_store) row.push_back(traffic.fetched);
+  }
+  return bytes;
+}
+
 TEST(WorkloadManager, SoloFifoJobMatchesRunDistributedExactly) {
   // Paper-scale run: the same spec/layout/options through run_distributed
   // and through a one-job FIFO workload must not move a single event.
@@ -230,14 +240,14 @@ TEST(WorkloadManager, SoloFifoJobMatchesRunDistributedExactly) {
   }
   EXPECT_EQ(run.store_requests, baseline.store_requests);
   EXPECT_EQ(run.s3_get_requests, baseline.s3_get_requests);
-  EXPECT_EQ(run.bytes_from_store, baseline.bytes_from_store);
+  EXPECT_EQ(fetched_bytes(run), fetched_bytes(baseline));
   EXPECT_DOUBLE_EQ(workload.makespan, baseline.total_time);
   EXPECT_EQ(workload.preemptions, 0u);
   // Lifecycle subsystem off: no drains, no early rental ends on either path.
   EXPECT_EQ(run.lifecycle.drains_requested, 0u);
   EXPECT_EQ(run.lifecycle.nodes_crashed, 0u);
-  EXPECT_TRUE(run.cloud_instance_ends.empty());
-  EXPECT_TRUE(baseline.cloud_instance_ends.empty());
+  for (const auto& rental : run.cloud_rentals) EXPECT_LT(rental.end, 0.0);
+  for (const auto& rental : baseline.cloud_rentals) EXPECT_LT(rental.end, 0.0);
 }
 
 // --- admission policies ------------------------------------------------------
@@ -497,7 +507,7 @@ TEST(WorkloadManager, ConcurrentElasticJobsBillSharedNodesOnce) {
   for (const auto& job : result.jobs) {
     EXPECT_GT(job.run.elastic_activations, 0u);
     per_job += job.run.elastic_activations;
-    instances += job.run.cloud_instance_nodes.size();
+    instances += job.run.cloud_rentals.size();
     raw_hours += job.raw_cost.instance_hours;
   }
   EXPECT_EQ(result.elastic_activations, per_job);
