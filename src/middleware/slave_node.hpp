@@ -138,7 +138,7 @@ class SlaveNode {
   bool robj_sent_ = false;  ///< tree mode: cluster robj shipped up the tree
   std::uint32_t children_received_ = 0;
   double idle_since_ = 0.0;
-  /// Cycle-level backoff draws taken (jitter substream sequencing): with
+  /// Retry cycles exhausted so far (jitter substream sequencing): with
   /// RetryPolicy::jitter_fraction > 0 each exhausted retry cycle jitters its
   /// maximal backoff so peers that failed in lockstep de-synchronize instead
   /// of re-hammering the store in phase.

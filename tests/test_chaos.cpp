@@ -2,14 +2,20 @@
 // outages, whole-site blackouts with head-driven work re-granting, the
 // recovery invariants the ChaosAuditor enforces (exactly-once execution,
 // honest bills, restored replica coverage, deterministic replay), the
-// chaos-off byte-identity pin, seeded retry-backoff jitter determinism, and
-// the in-flight flow teardown regression for dead endpoints.
+// chaos-off byte-identity pin, seeded retry-backoff jitter determinism, the
+// end-of-cycle backoff value, retry-policy validation, and the in-flight flow
+// teardown regression for dead endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/wordcount.hpp"
+#include "cache/chunk_cache.hpp"
 #include "chaos/chaos.hpp"
 #include "common/units.hpp"
 #include "directory/platform_directory.hpp"
@@ -261,6 +267,101 @@ TEST(RetryJitter, SeededJitterIsDeterministicAndDefaultsOff) {
   EXPECT_TRUE(replay.ok) << replay.detail;
   // Jitter actually perturbs the schedule relative to the lockstep default.
   EXPECT_NE(jittered_a.to_jsonl(), plain.to_jsonl());
+}
+
+TEST(RetryJitter, ExhaustedCycleBacksOffByThePolicysNextDelay) {
+  // The same flaky store; after max_attempts = 3 failed tries a slave backs
+  // off by the policy's delay before attempt 4, 0.05 * 2^2 = 0.2 s, and then
+  // re-opens the fetch cycle. The slave traces no FetchStart for a re-opened
+  // cycle, but the site cache does: every cycle against the (cacheable) S3
+  // store starts with a CacheMiss or CacheHit for that chunk.
+  MarkerRig rig(6, 2, 60000);
+  PlatformSpec spec = three_site_spec();
+  spec.sites[1].store->fault.fail_probability = 0.6;
+  spec.sites[1].store->fault.seed = 77;
+  Platform platform(spec);
+  storage::assign_stores_by_weights(rig.layout, {1.0, 2.0, 1.0},
+                                    {platform.store_of_cluster(0),
+                                     platform.store_of_cluster(1),
+                                     platform.store_of_cluster(2)});
+  cache::CacheConfig cfg;
+  cfg.capacity_bytes = MiB(64);
+  cache::CacheFleet fleet(cfg);
+  trace::Tracer tracer;
+  RunOptions o = rig.options();
+  o.retry.max_attempts = 3;
+  o.retry.backoff_base_seconds = 0.05;
+  o.retry.backoff_multiplier = 2.0;
+  o.retry.jitter_fraction = 0.0;
+  o.cache = &fleet;
+  o.tracer = &tracer;
+  middleware::run_distributed(platform, rig.layout, o);
+
+  const auto& events = tracer.events();
+  std::size_t cycles = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto& backoff = events[i];
+    if (backoff.kind != trace::EventKind::RetryBackoff || backoff.b != 4) continue;
+    const auto next = std::find_if(events.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                                   events.end(), [&backoff](const trace::Event& e) {
+                                     return e.actor == backoff.actor && e.a == backoff.a &&
+                                            (e.kind == trace::EventKind::CacheMiss ||
+                                             e.kind == trace::EventKind::CacheHit);
+                                   });
+    ASSERT_NE(next, events.end()) << backoff.actor << " chunk " << backoff.a;
+    EXPECT_NEAR(next->t - backoff.t, 0.2, 1e-9) << backoff.actor << " chunk " << backoff.a;
+    ++cycles;
+  }
+  EXPECT_GT(cycles, 0u);
+}
+
+// A malformed retry policy would reach des::from_seconds as a NaN or infinite
+// delay mid-run; validate_run rejects it up front and names the field.
+TEST(RetryValidation, RejectsMalformedPolicyNamingTheField) {
+  Platform platform(three_site_spec());
+  storage::LayoutSpec lspec;
+  lspec.total_bytes = MiB(12);
+  lspec.num_files = 3;
+  lspec.chunks_per_file = 2;
+  lspec.unit_bytes = 64;
+  const DataLayout layout = storage::build_layout(lspec);
+  const auto expect_rejected = [&](auto&& set, const std::string& field) {
+    RunOptions o;
+    o.profile.unit_bytes = 64;
+    set(o.retry);
+    try {
+      middleware::validate_run(platform, layout, o);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("retry." + field), std::string::npos) << msg;
+    }
+  };
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+
+  RunOptions ok;
+  ok.profile.unit_bytes = 64;
+  EXPECT_NO_THROW(middleware::validate_run(platform, layout, ok));
+
+  for (double bad : {nan, inf, -0.5}) {
+    expect_rejected([bad](storage::RetryPolicy& p) { p.backoff_base_seconds = bad; },
+                    "backoff_base_seconds");
+    expect_rejected([bad](storage::RetryPolicy& p) { p.backoff_max_seconds = bad; },
+                    "backoff_max_seconds");
+    expect_rejected([bad](storage::RetryPolicy& p) { p.attempt_timeout_seconds = bad; },
+                    "attempt_timeout_seconds");
+    expect_rejected([bad](storage::RetryPolicy& p) { p.hedge_delay_seconds = bad; },
+                    "hedge_delay_seconds");
+  }
+  for (double bad : {nan, inf, 0.5}) {
+    expect_rejected([bad](storage::RetryPolicy& p) { p.backoff_multiplier = bad; },
+                    "backoff_multiplier");
+  }
+  for (double bad : {nan, -0.1, 1.5}) {
+    expect_rejected([bad](storage::RetryPolicy& p) { p.jitter_fraction = bad; },
+                    "jitter_fraction");
+  }
 }
 
 // --- WAN link faults ---------------------------------------------------------
